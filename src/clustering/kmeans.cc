@@ -11,14 +11,6 @@
 namespace freeway {
 namespace {
 
-/// Index of the centroid nearest to `point` — the dispatched assignment
-/// microkernel (raw-pointer scan with early abandonment in scalar mode,
-/// AVX2/FMA distances when available).
-int NearestCentroid(std::span<const double> point, const Matrix& centroids) {
-  return simd::NearestCentroid(point.data(), centroids.data(),
-                               centroids.rows(), centroids.cols());
-}
-
 /// Points per parallel chunk for a pass that scans all k centroids per
 /// point. Shape-only, so the chunk/shard layout is thread-count invariant.
 size_t AssignGrain(size_t k, size_t dim) { return GrainForCost(k * dim); }
@@ -105,6 +97,8 @@ Result<KMeansResult> KMeans(const Matrix& points, size_t k,
   std::vector<int> shard_counts(num_shards * k);
   Matrix shard_sums(num_shards * k, dim);
   std::vector<char> shard_changed(num_shards);
+  // Nearest-centroid index per point, filled one shard per kernel call.
+  std::vector<int> nearest(n);
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
@@ -117,8 +111,11 @@ Result<KMeansResult> KMeans(const Matrix& points, size_t k,
       const size_t shard = p0 / grain;
       int* counts = shard_counts.data() + shard * k;
       bool shard_moved = false;
+      simd::NearestCentroids(points.data() + p0 * dim, p1 - p0,
+                             result.centroids.data(), k, dim,
+                             nearest.data() + p0);
       for (size_t i = p0; i < p1; ++i) {
-        const int best_c = NearestCentroid(points.Row(i), result.centroids);
+        const int best_c = nearest[i];
         if (result.assignments[i] != best_c) {
           result.assignments[i] = best_c;
           shard_moved = true;

@@ -6,7 +6,7 @@
 
 #include "common/logging.h"
 #include "core/disorder.h"
-#include "fault/snapshot.h"
+#include "stream/batch_codec.h"
 
 namespace freeway {
 

@@ -5,8 +5,8 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "fault/snapshot.h"
 #include "ml/serialize.h"
+#include "stream/batch_codec.h"
 
 namespace freeway {
 

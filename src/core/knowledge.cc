@@ -4,8 +4,8 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "fault/snapshot.h"
 #include "linalg/matrix.h"
+#include "stream/batch_codec.h"
 
 namespace freeway {
 

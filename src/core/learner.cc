@@ -3,7 +3,7 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "fault/failpoint.h"
-#include "fault/snapshot.h"
+#include "stream/batch_codec.h"
 
 namespace freeway {
 

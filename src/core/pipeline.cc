@@ -1,6 +1,6 @@
 #include "core/pipeline.h"
 
-#include "fault/snapshot.h"
+#include "stream/batch_codec.h"
 
 namespace freeway {
 

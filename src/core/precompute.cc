@@ -1,7 +1,7 @@
 #include "core/precompute.h"
 
 #include "common/logging.h"
-#include "fault/snapshot.h"
+#include "stream/batch_codec.h"
 
 namespace freeway {
 

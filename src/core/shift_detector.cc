@@ -4,7 +4,7 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "fault/snapshot.h"
+#include "stream/batch_codec.h"
 
 namespace freeway {
 

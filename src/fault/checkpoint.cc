@@ -11,7 +11,7 @@
 #include <system_error>
 
 #include "fault/failpoint.h"
-#include "fault/snapshot.h"
+#include "stream/batch_codec.h"
 
 namespace freeway {
 

@@ -12,22 +12,20 @@
 namespace freeway {
 namespace {
 
-/// Panel height for k-tiling inside a row block; 64 rows of a 512-wide B
-/// panel is 256 KiB. Tiles iterate in ascending k, so per-element
-/// accumulation order is the plain ascending-k order.
-constexpr size_t kPanelRows = 64;
+/// Minimum rows per chunk for wide outputs.
+constexpr size_t kWideOutputRows = 64;
 
 /// Output rows per parallel chunk for a matmul-shaped kernel whose per-row
 /// cost is `inner_ops` scalar multiply-adds. Two forces: chunks need
 /// >= ~128K ops so scheduling cost stays invisible, and wide outputs want
-/// >= kPanelRows rows per chunk so the k-panel of B is reused across the
-/// block. Depends only on the shapes involved, so chunk boundaries (and
+/// >= kWideOutputRows rows per chunk so each column strip of B is reused across
+/// the block. Depends only on the shapes involved, so chunk boundaries (and
 /// results) are independent of the pool size.
 size_t MatMulGrain(size_t inner_ops, size_t out_width, size_t rows) {
   size_t grain =
       std::max<size_t>(1, (size_t{1} << 17) / std::max<size_t>(1, inner_ops));
-  if (out_width >= kPanelRows) {
-    grain = std::max(grain, std::min(kPanelRows, rows));
+  if (out_width >= kWideOutputRows) {
+    grain = std::max(grain, std::min(kWideOutputRows, rows));
   }
   return grain;
 }
@@ -101,49 +99,13 @@ Matrix Matrix::MatMul(const Matrix& other) const {
       << other.ShapeString();
   Matrix out(rows_, other.cols_);
   const size_t n = other.cols_;
-  // Row blocks run in parallel; within a block, B is consumed in k-panels so
-  // one ~256 KiB panel serves every row of the block. Each output row
-  // accumulates in plain ascending-k order regardless of blocking or thread
-  // count, so results are bit-identical to the serial kernel.
+  // Row blocks run in parallel, one kernel call each. Every output element
+  // accumulates in ascending k regardless of blocking or thread count, so
+  // results are bit-identical to the serial kernel.
   ParallelFor(0, rows_, MatMulGrain(cols_ * n, n, rows_),
               [&](size_t r0, size_t r1) {
-    for (size_t kk = 0; kk < cols_; kk += kPanelRows) {
-      const size_t k_end = std::min(kk + kPanelRows, cols_);
-      for (size_t i = r0; i < r1; ++i) {
-        const double* a_row = data_.data() + i * cols_;
-        double* out_row = out.data() + i * n;
-        size_t k = kk;
-        // 4-way k-unroll through the dispatched panel microkernel (FMA
-        // vectors under AVX2, the historical scalar loop otherwise). The
-        // adds stay sequential in ascending k, so each element's value is
-        // reproducible per dispatch target at any thread count. Groups
-        // with a zero fall back to the zero-skip path (post-ReLU
-        // activations are full of zeros, and 0 * inf must keep
-        // contributing nothing).
-        for (; k + 4 <= k_end; k += 4) {
-          const double a0 = a_row[k];
-          const double a1 = a_row[k + 1];
-          const double a2 = a_row[k + 2];
-          const double a3 = a_row[k + 3];
-          if (a0 == 0.0 || a1 == 0.0 || a2 == 0.0 || a3 == 0.0) {
-            for (size_t kq = k; kq < k + 4; ++kq) {
-              const double a = a_row[kq];
-              if (a == 0.0) continue;
-              simd::AxpyRow(out_row, other.data() + kq * n, a, n);
-            }
-            continue;
-          }
-          const double* b0 = other.data() + k * n;
-          simd::AccumPanel4(out_row, b0, b0 + n, b0 + 2 * n, b0 + 3 * n, a0,
-                            a1, a2, a3, n);
-        }
-        for (; k < k_end; ++k) {
-          const double a = a_row[k];
-          if (a == 0.0) continue;
-          simd::AxpyRow(out_row, other.data() + k * n, a, n);
-        }
-      }
-    }
+    simd::MatMulBlock(data_.data() + r0 * cols_, cols_, 1, r1 - r0, cols_,
+                      other.data(), n, out.data() + r0 * n);
   });
   return out;
 }
@@ -154,49 +116,12 @@ Matrix Matrix::TransposeMatMul(const Matrix& other) const {
       << other.ShapeString();
   Matrix out(cols_, other.cols_);
   const size_t n = other.cols_;
-  // Parallel over blocks of output rows (= columns of A); k stays the outer
-  // sequential loop inside each block, so every output element accumulates
-  // in ascending-k order — deterministic at any thread count.
+  // Parallel over blocks of output rows (= columns of A, read in place with
+  // strides (1, cols_)); each element accumulates in ascending k.
   ParallelFor(0, cols_, MatMulGrain(rows_ * n, n, cols_),
               [&](size_t i0, size_t i1) {
-    size_t k = 0;
-    // Same 4-way k-unroll as MatMul, through the dispatched panel
-    // microkernel: sequential adds in ascending k keep each element
-    // reproducible per dispatch target, groups containing a zero fall back
-    // to the zero-skip path.
-    for (; k + 4 <= rows_; k += 4) {
-      const double* a0_row = data_.data() + k * cols_;
-      const double* a1_row = a0_row + cols_;
-      const double* a2_row = a1_row + cols_;
-      const double* a3_row = a2_row + cols_;
-      const double* b0 = other.data() + k * n;
-      for (size_t i = i0; i < i1; ++i) {
-        const double a0 = a0_row[i];
-        const double a1 = a1_row[i];
-        const double a2 = a2_row[i];
-        const double a3 = a3_row[i];
-        double* out_row = out.data() + i * n;
-        if (a0 == 0.0 || a1 == 0.0 || a2 == 0.0 || a3 == 0.0) {
-          for (size_t kq = 0; kq < 4; ++kq) {
-            const double a = (data_.data() + (k + kq) * cols_)[i];
-            if (a == 0.0) continue;
-            simd::AxpyRow(out_row, other.data() + (k + kq) * n, a, n);
-          }
-          continue;
-        }
-        simd::AccumPanel4(out_row, b0, b0 + n, b0 + 2 * n, b0 + 3 * n, a0,
-                          a1, a2, a3, n);
-      }
-    }
-    for (; k < rows_; ++k) {
-      const double* a_row = data_.data() + k * cols_;
-      const double* b_row = other.data() + k * n;
-      for (size_t i = i0; i < i1; ++i) {
-        const double a = a_row[i];
-        if (a == 0.0) continue;
-        simd::AxpyRow(out.data() + i * n, b_row, a, n);
-      }
-    }
+    simd::MatMulBlock(data_.data() + i0, 1, cols_, i1 - i0, rows_,
+                      other.data(), n, out.data() + i0 * n);
   });
   return out;
 }
@@ -206,16 +131,12 @@ Matrix Matrix::MatMulTranspose(const Matrix& other) const {
       << "Matrix::MatMulTranspose: shape mismatch " << ShapeString() << " * "
       << other.ShapeString() << "^T";
   Matrix out(rows_, other.rows_);
-  // Independent dot products; row blocks of the output run in parallel and
-  // each dot accumulates in ascending-k order.
+  // Independent dot products; row blocks of the output run in parallel.
   ParallelFor(0, rows_, MatMulGrain(other.rows_ * cols_, other.rows_, rows_),
               [&](size_t r0, size_t r1) {
-    for (size_t i = r0; i < r1; ++i) {
-      const double* a_row = data_.data() + i * cols_;
-      for (size_t j = 0; j < other.rows_; ++j) {
-        out.At(i, j) = simd::Dot(a_row, other.data() + j * other.cols_, cols_);
-      }
-    }
+    simd::MatMulTransposeBlock(data_.data() + r0 * cols_, r1 - r0, cols_,
+                               other.data(), other.rows_,
+                               out.data() + r0 * other.rows_);
   });
   return out;
 }

@@ -7,12 +7,12 @@
 namespace freeway {
 namespace simd {
 
-/// Runtime-dispatched SIMD microkernels behind the dense hot paths (MatMul
-/// panel accumulation, dot products, k-means squared distance). One
-/// dispatch target is selected at first use and cached for the process:
+/// Runtime-dispatched SIMD kernels behind the dense hot paths (whole-block
+/// matrix products and the k-means assignment scan). One dispatch target is
+/// selected at first use and cached for the process:
 ///
-///  - kAvx2: AVX2 + FMA vector kernels (8 doubles in flight per loop
-///    iteration, fused multiply-add accumulators).
+///  - kAvx2: AVX2 + FMA vector kernels (fused multiply-add accumulators
+///    held in registers).
 ///  - kScalar: portable kernels whose floating-point operation order is
 ///    exactly the pre-SIMD code's, so `FREEWAY_SIMD=off` reproduces the
 ///    historical bit patterns.
@@ -27,9 +27,10 @@ namespace simd {
 /// regardless of caller thread count (the PR-1 contract). Across targets
 /// results differ within a small tolerance: the AVX2 kernels fuse
 /// multiply-adds (no intermediate rounding of the product) and the
-/// reduction kernels (Dot / SquaredDistance) split the accumulation across
-/// vector lanes, which reassociates the sum. tests/test_simd.cc pins the
-/// scalar↔AVX2 tolerance; DESIGN.md "SIMD dispatch" documents the policy.
+/// reductions (MatMulTransposeBlock, the distance scan) split the
+/// accumulation across vector lanes, which reassociates the sum.
+/// tests/test_simd.cc pins the scalar↔AVX2 tolerance; DESIGN.md "SIMD
+/// dispatch" documents the policy.
 enum class DispatchTarget {
   kScalar,
   kAvx2,
@@ -51,38 +52,39 @@ bool Avx2Supported();
 /// flight, and the choice is process-global.
 DispatchTarget ForceTarget(DispatchTarget target);
 
-/// out[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j] for j in [0, n).
-/// The 4-row GEMM panel accumulator behind MatMul / TransposeMatMul. Per
-/// output element the four adds stay in ascending row order; the AVX2
-/// version vectorizes across j and fuses each multiply-add.
-void AccumPanel4(double* out, const double* b0, const double* b1,
-                 const double* b2, const double* b3, double a0, double a1,
-                 double a2, double a3, size_t n);
+/// out (m x n, row-major, overwritten) = A * B for row-major B (k x n),
+/// where A is m x k with entry (i, kk) at a[i * a_row_stride + kk *
+/// a_k_stride]: strides (k, 1) are a row-major A (Matrix::MatMul), strides
+/// (1, m') read a k x m' matrix transposed (Matrix::TransposeMatMul). One
+/// dispatch per call; the accumulators stay in registers across k.
+///
+/// Bit-identity contract: out[i][j] starts at +0.0 and takes, in ascending
+/// k, one `t += a * b` (kScalar) or `t = fma(a, b, t)` (kAvx2) per entry
+/// a = A(i, kk) that is not == 0.0. Zero entries (including -0.0) are
+/// skipped by a select, not a branch, so 0 * inf or 0 * NaN in B never
+/// contributes. Column strips and row tiles follow from n alone (n < 8, a
+/// narrow logit layer, runs one-vector strips with 8 rows in flight), and
+/// none of them changes an element's operation sequence.
+void MatMulBlock(const double* a, size_t a_row_stride, size_t a_k_stride,
+                 size_t m, size_t k, const double* b, size_t n, double* out);
 
-/// out[j] += a * b[j] for j in [0, n). Panel-tail / zero-skip companion of
-/// AccumPanel4; callers keep the a == 0 skip so 0 * inf never contributes.
-void AxpyRow(double* out, const double* b, double a, size_t n);
+/// out (m x p, row-major, overwritten) = A * B^T for row-major A (m x k)
+/// and B (p x k). Every element is the dot product of row i of A and row j
+/// of B in a fixed order per target: ascending k into one accumulator
+/// (kScalar), or fmas split over four 4-lane accumulators by 16-blocks,
+/// the remaining 4-blocks into the first, a fixed pairwise-then-lanes
+/// reduction and an ascending fma tail (kAvx2). One dispatch per call; the
+/// kernel behind Matrix::MatMulTranspose.
+void MatMulTransposeBlock(const double* a, size_t m, size_t k,
+                          const double* b, size_t p, double* out);
 
-/// Ascending-index dot product (single accumulator in scalar mode, 4
-/// vector accumulators in AVX2 mode).
-double Dot(const double* a, const double* b, size_t n);
-
-/// Squared Euclidean distance between two length-n vectors.
-double SquaredDistance(const double* a, const double* b, size_t n);
-
-/// Index of the row of `centroids` (k rows of length dim, row-major)
-/// nearest to `point` in squared Euclidean distance; ties break to the
-/// lowest index in both targets. The k-means assignment kernel. When
-/// `best_d2` is non-null it receives the winning squared distance.
-int NearestCentroid(const double* point, const double* centroids, size_t k,
-                    size_t dim, double* best_d2 = nullptr);
-
-/// Batch form of NearestCentroid: out[i] = index of the centroid nearest to
-/// row i of `points` (n rows of length dim, row-major), for i in [0, n).
-/// Dispatch is resolved once per call and the per-point scan is inlined
-/// inside the kernel, so per-point overhead is zero — this is the kernel
-/// the parallel assignment passes call per chunk. `points`, `centroids`
-/// and `out` must not overlap.
+/// The k-means assignment kernel: out[i] = index of the row of `centroids`
+/// (k rows of length dim, row-major) nearest in squared Euclidean distance
+/// to row i of `points` (n rows of length dim, row-major), for i in [0, n);
+/// ties break to the lowest index in both targets. Dispatch is resolved
+/// once per call and the per-point scan is inlined inside the kernel —
+/// the parallel assignment passes call it once per chunk. `points`,
+/// `centroids` and `out` must not overlap.
 void NearestCentroids(const double* points, size_t n, const double* centroids,
                       size_t k, size_t dim, int* out);
 

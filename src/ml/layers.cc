@@ -1,7 +1,9 @@
 #include "ml/layers.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/logging.h"
@@ -37,7 +39,7 @@ Matrix DenseLayer::Forward(const Matrix& input) {
   return out;
 }
 
-Matrix DenseLayer::Backward(const Matrix& grad_output) {
+Matrix DenseLayer::Backward(const Matrix& grad_output, bool need_input_grad) {
   // dW += X^T dY ; db += colsum(dY) ; dX = dY W^T.
   Matrix gw = cached_input_.TransposeMatMul(grad_output);
   grad_weight_.AddInPlace(gw);
@@ -47,6 +49,7 @@ Matrix DenseLayer::Backward(const Matrix& grad_output) {
       grad_bias_.At(0, j) += row[j];
     }
   }
+  if (!need_input_grad) return Matrix();
   return grad_output.MatMulTranspose(weight_);
 }
 
@@ -58,27 +61,40 @@ std::unique_ptr<Layer> DenseLayer::Clone() const {
 // ReluLayer
 // ---------------------------------------------------------------------------
 
+// Both passes are branch-free selects over the flat data: pre-activation
+// signs are random, so a branch per element mispredicts about half the
+// time (and compilers emit one for `c ? 0.0 : v`). Forward: v < 0 becomes
+// +0.0, while -0.0 and NaN pass through; backward zeroes the gradient
+// wherever the input was <= 0.
+
+namespace {
+
+/// `v` where `keep`, else +0.0, as a bit mask rather than a branch.
+double KeepOrZero(double v, bool keep) {
+  return std::bit_cast<double>(std::bit_cast<uint64_t>(v) &
+                               (uint64_t{0} - static_cast<uint64_t>(keep)));
+}
+
+}  // namespace
+
 Matrix ReluLayer::Forward(const Matrix& input) {
   cached_input_ = input;
   Matrix out = input;
-  for (size_t i = 0; i < out.rows(); ++i) {
-    auto row = out.Row(i);
-    for (auto& v : row) {
-      if (v < 0.0) v = 0.0;
-    }
+  double* v = out.data();
+  for (size_t i = 0; i < out.size(); ++i) {
+    v[i] = KeepOrZero(v[i], !(v[i] < 0.0));
   }
   return out;
 }
 
-Matrix ReluLayer::Backward(const Matrix& grad_output) {
+Matrix ReluLayer::Backward(const Matrix& grad_output, bool need_input_grad) {
   FREEWAY_DCHECK(grad_output.SameShape(cached_input_));
+  if (!need_input_grad) return Matrix();
   Matrix out = grad_output;
-  for (size_t i = 0; i < out.rows(); ++i) {
-    auto g = out.Row(i);
-    auto x = cached_input_.Row(i);
-    for (size_t j = 0; j < g.size(); ++j) {
-      if (x[j] <= 0.0) g[j] = 0.0;
-    }
+  double* g = out.data();
+  const double* x = cached_input_.data();
+  for (size_t i = 0; i < out.size(); ++i) {
+    g[i] = KeepOrZero(g[i], !(x[i] <= 0.0));
   }
   return out;
 }
@@ -237,7 +253,7 @@ Matrix Conv2dLayer::Forward(const Matrix& input) {
   return out;
 }
 
-Matrix Conv2dLayer::Backward(const Matrix& grad_output) {
+Matrix Conv2dLayer::Backward(const Matrix& grad_output, bool need_input_grad) {
   const size_t n = cached_input_.rows();
   FREEWAY_DCHECK(grad_output.rows() == n)
       << "Conv2dLayer::Backward: got " << grad_output.rows()
@@ -251,7 +267,8 @@ Matrix Conv2dLayer::Backward(const Matrix& grad_output) {
   const size_t patch = oh * ow;
   const size_t fan_in = kernels_.cols();
 
-  Matrix grad_input(n, input_shape_.FlatSize());
+  Matrix grad_input =
+      need_input_grad ? Matrix(n, input_shape_.FlatSize()) : Matrix();
   const size_t block = SampleBlock(n);
   // Forward on a single-block batch leaves col_buffer_ holding exactly this
   // batch's patches; multi-block batches rebuild per block.
@@ -283,6 +300,7 @@ Matrix Conv2dLayer::Backward(const Matrix& grad_output) {
       const double* d = dprod.data() + r * oc;
       for (size_t k = 0; k < oc; ++k) grad_bias_.At(0, k) += d[k];
     }
+    if (!need_input_grad) continue;
     // dX: scatter dY * K back through each receptive field (col2im).
     Matrix dcols = dprod.MatMul(kernels_);
     ParallelFor(s0, s1, GrainForCost(patch * fan_in),
@@ -370,8 +388,10 @@ Matrix MaxPool2dLayer::Forward(const Matrix& input) {
   return out;
 }
 
-Matrix MaxPool2dLayer::Backward(const Matrix& grad_output) {
+Matrix MaxPool2dLayer::Backward(const Matrix& grad_output,
+                                bool need_input_grad) {
   FREEWAY_DCHECK(grad_output.rows() == cached_rows_);
+  if (!need_input_grad) return Matrix();
   Matrix grad_input(cached_rows_, input_shape_.FlatSize());
   for (size_t s = 0; s < cached_rows_; ++s) {
     const double* gy = grad_output.data() + s * grad_output.cols();

@@ -16,7 +16,8 @@ namespace freeway {
 ///
 /// Backward() consumes the gradient w.r.t. this layer's output, accumulates
 /// gradients into the layer's parameter-gradient buffers, and returns the
-/// gradient w.r.t. its input.
+/// gradient w.r.t. its input — or an empty matrix when the caller says it
+/// has no use for one (the first layer of a model).
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -26,8 +27,10 @@ class Layer {
   /// Runs the layer and caches whatever Backward() needs.
   virtual Matrix Forward(const Matrix& input) = 0;
 
-  /// Backprop; must be called after Forward on the same batch.
-  virtual Matrix Backward(const Matrix& grad_output) = 0;
+  /// Backprop; must be called after Forward on the same batch. With
+  /// `need_input_grad` false the input gradient is not computed and an
+  /// empty matrix is returned; parameter gradients accumulate either way.
+  virtual Matrix Backward(const Matrix& grad_output, bool need_input_grad) = 0;
 
   /// Trainable parameter matrices (empty for activations/pools).
   virtual std::vector<Matrix*> Params() { return {}; }
@@ -50,7 +53,7 @@ class DenseLayer : public Layer {
 
   std::string name() const override { return "Dense"; }
   Matrix Forward(const Matrix& input) override;
-  Matrix Backward(const Matrix& grad_output) override;
+  Matrix Backward(const Matrix& grad_output, bool need_input_grad) override;
   std::vector<Matrix*> Params() override { return {&weight_, &bias_}; }
   std::vector<Matrix*> Grads() override { return {&grad_weight_, &grad_bias_}; }
   std::unique_ptr<Layer> Clone() const override;
@@ -69,7 +72,7 @@ class ReluLayer : public Layer {
  public:
   std::string name() const override { return "ReLU"; }
   Matrix Forward(const Matrix& input) override;
-  Matrix Backward(const Matrix& grad_output) override;
+  Matrix Backward(const Matrix& grad_output, bool need_input_grad) override;
   std::unique_ptr<Layer> Clone() const override {
     return std::make_unique<ReluLayer>(*this);
   }
@@ -104,7 +107,7 @@ class Conv2dLayer : public Layer {
 
   std::string name() const override { return "Conv2d"; }
   Matrix Forward(const Matrix& input) override;
-  Matrix Backward(const Matrix& grad_output) override;
+  Matrix Backward(const Matrix& grad_output, bool need_input_grad) override;
   std::vector<Matrix*> Params() override { return {&kernels_, &bias_}; }
   std::vector<Matrix*> Grads() override {
     return {&grad_kernels_, &grad_bias_};
@@ -141,7 +144,7 @@ class MaxPool2dLayer : public Layer {
 
   std::string name() const override { return "MaxPool2d"; }
   Matrix Forward(const Matrix& input) override;
-  Matrix Backward(const Matrix& grad_output) override;
+  Matrix Backward(const Matrix& grad_output, bool need_input_grad) override;
   std::unique_ptr<Layer> Clone() const override {
     return std::make_unique<MaxPool2dLayer>(*this);
   }

@@ -1,6 +1,7 @@
 #include "ml/losses.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -23,30 +24,27 @@ Matrix Softmax(const Matrix& logits) {
   return out;
 }
 
-double SoftmaxCrossEntropyLoss(const Matrix& logits,
-                               const std::vector<int>& labels) {
+double SoftmaxCrossEntropy(const Matrix& logits,
+                           const std::vector<int>& labels, Matrix* grad) {
   FREEWAY_DCHECK(logits.rows() == labels.size());
-  const Matrix probs = Softmax(logits);
+  Matrix probs = Softmax(logits);
   double loss = 0.0;
   for (size_t i = 0; i < probs.rows(); ++i) {
     const int y = labels[i];
     FREEWAY_DCHECK(y >= 0 && static_cast<size_t>(y) < probs.cols());
     loss -= std::log(probs.At(i, static_cast<size_t>(y)) + 1e-12);
   }
-  return loss / static_cast<double>(probs.rows());
-}
-
-Matrix SoftmaxCrossEntropyGrad(const Matrix& logits,
-                               const std::vector<int>& labels) {
-  FREEWAY_DCHECK(logits.rows() == labels.size());
-  Matrix grad = Softmax(logits);
-  const double inv_n = 1.0 / static_cast<double>(grad.rows());
-  for (size_t i = 0; i < grad.rows(); ++i) {
-    auto row = grad.Row(i);
-    row[static_cast<size_t>(labels[i])] -= 1.0;
-    for (auto& v : row) v *= inv_n;
+  loss /= static_cast<double>(probs.rows());
+  if (grad != nullptr) {
+    const double inv_n = 1.0 / static_cast<double>(probs.rows());
+    for (size_t i = 0; i < probs.rows(); ++i) {
+      auto row = probs.Row(i);
+      row[static_cast<size_t>(labels[i])] -= 1.0;
+      for (auto& v : row) v *= inv_n;
+    }
+    *grad = std::move(probs);
   }
-  return grad;
+  return loss;
 }
 
 }  // namespace freeway

@@ -10,16 +10,13 @@ namespace freeway {
 /// Row-wise numerically-stable softmax of a logit matrix.
 Matrix Softmax(const Matrix& logits);
 
-/// Mean cross-entropy of softmax(logits) against integer labels.
-/// `labels[i]` must lie in [0, logits.cols()).
-double SoftmaxCrossEntropyLoss(const Matrix& logits,
-                               const std::vector<int>& labels);
-
-/// Gradient of the mean softmax cross-entropy w.r.t. the logits:
-/// (softmax(logits) - onehot(labels)) / n. Combined with the layers'
+/// Mean cross-entropy of softmax(logits) against integer labels, from one
+/// softmax. `labels[i]` must lie in [0, logits.cols()). When `grad` is
+/// non-null it receives the gradient w.r.t. the logits,
+/// (softmax(logits) - onehot(labels)) / n; combined with the layers'
 /// sum-accumulating backprop this yields batch-mean parameter gradients.
-Matrix SoftmaxCrossEntropyGrad(const Matrix& logits,
-                               const std::vector<int>& labels);
+double SoftmaxCrossEntropy(const Matrix& logits,
+                           const std::vector<int>& labels, Matrix* grad);
 
 }  // namespace freeway
 

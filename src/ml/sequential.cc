@@ -54,9 +54,23 @@ Status SequentialModel::ValidateBatch(const Matrix& x,
 }
 
 Matrix SequentialModel::ForwardLogits(const Matrix& x) {
-  Matrix activation = x;
-  for (auto& layer : layers_) activation = layer->Forward(activation);
+  Matrix activation = layers_.front()->Forward(x);
+  for (size_t i = 1; i < layers_.size(); ++i) {
+    activation = layers_[i]->Forward(activation);
+  }
   return activation;
+}
+
+double SequentialModel::Backprop(const Matrix& x, const std::vector<int>& y) {
+  for (auto& layer : layers_) layer->ZeroGrads();
+  Matrix grad;
+  const double loss = SoftmaxCrossEntropy(ForwardLogits(x), y, &grad);
+  // Nothing consumes the gradient w.r.t. the model input, so the first
+  // layer is not asked for it.
+  for (size_t i = layers_.size(); i-- > 0;) {
+    grad = layers_[i]->Backward(grad, /*need_input_grad=*/i > 0);
+  }
+  return loss;
 }
 
 Result<Matrix> SequentialModel::PredictProba(const Matrix& x) {
@@ -67,13 +81,7 @@ Result<Matrix> SequentialModel::PredictProba(const Matrix& x) {
 Result<double> SequentialModel::TrainBatch(const Matrix& x,
                                            const std::vector<int>& y) {
   FREEWAY_RETURN_NOT_OK(ValidateBatch(x, &y));
-  for (auto& layer : layers_) layer->ZeroGrads();
-  Matrix logits = ForwardLogits(x);
-  const double loss = SoftmaxCrossEntropyLoss(logits, y);
-  Matrix grad = SoftmaxCrossEntropyGrad(logits, y);
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = (*it)->Backward(grad);
-  }
+  const double loss = Backprop(x, y);
   optimizer_->Step(AllParams(), AllGrads());
   return loss;
 }
@@ -83,13 +91,7 @@ Result<double> SequentialModel::ComputeGradient(const Matrix& x,
                                                 std::vector<double>* grad) {
   FREEWAY_RETURN_NOT_OK(ValidateBatch(x, &y));
   if (grad == nullptr) return Status::InvalidArgument("grad is null");
-  for (auto& layer : layers_) layer->ZeroGrads();
-  Matrix logits = ForwardLogits(x);
-  const double loss = SoftmaxCrossEntropyLoss(logits, y);
-  Matrix g = SoftmaxCrossEntropyGrad(logits, y);
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->Backward(g);
-  }
+  const double loss = Backprop(x, y);
   grad->clear();
   grad->reserve(ParameterCount());
   for (Matrix* gm : AllGrads()) {

@@ -49,6 +49,9 @@ class SequentialModel : public Model {
   Status ValidateBatch(const Matrix& x, const std::vector<int>* y) const;
   /// Forward pass producing logits.
   Matrix ForwardLogits(const Matrix& x);
+  /// Zeroes the gradient buffers, runs forward and backward on a validated
+  /// batch, and returns the mean loss; gradients are left in the layers.
+  double Backprop(const Matrix& x, const std::vector<int>& y);
   std::vector<Matrix*> AllParams() const;
   std::vector<Matrix*> AllGrads() const;
 

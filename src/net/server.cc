@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -418,6 +420,11 @@ void StreamServer::AcceptPending(Worker& w) {
       if (metrics_.closed != nullptr) metrics_.closed->Inc();
       continue;
     }
+    // A RESULT frame follows its ACK on the same connection; with Nagle on
+    // it would wait for the client's (possibly delayed, up to 40 ms) ACK of
+    // the first segment.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     conn->id = w.next_conn_id++;

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "fault/snapshot.h"
 #include "obs/metrics.h"
+#include "stream/batch_codec.h"
 
 namespace freeway {
 namespace {

@@ -10,7 +10,7 @@
 
 #include "fault/checkpoint.h"
 #include "fault/failpoint.h"
-#include "fault/snapshot.h"
+#include "stream/batch_codec.h"
 
 namespace freeway {
 namespace {

@@ -1,6 +1,10 @@
 #include "ml/layers.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -28,7 +32,7 @@ void CheckLayerGradients(Layer* layer, const Matrix& input, uint64_t seed,
 
   layer->ZeroGrads();
   layer->Forward(input);
-  Matrix grad_input = layer->Backward(probe);
+  Matrix grad_input = layer->Backward(probe, /*need_input_grad=*/true);
   ASSERT_TRUE(grad_input.SameShape(input));
 
   const double eps = 1e-6;
@@ -61,7 +65,7 @@ void CheckLayerGradients(Layer* layer, const Matrix& input, uint64_t seed,
   // reverted, since Forward mutates caches).
   layer->ZeroGrads();
   layer->Forward(input);
-  layer->Backward(probe);
+  layer->Backward(probe, /*need_input_grad=*/true);
   auto params = layer->Params();
   auto grads = layer->Grads();
   ASSERT_EQ(params.size(), grads.size());
@@ -115,6 +119,70 @@ TEST(ReluLayerTest, ForwardClampsNegatives) {
   EXPECT_DOUBLE_EQ(y.At(0, 1), 0.0);
   EXPECT_DOUBLE_EQ(y.At(0, 2), 2.0);
   EXPECT_DOUBLE_EQ(y.At(0, 3), 0.0);
+}
+
+TEST(ReluLayerTest, EdgeValuesKeepTheirBits) {
+  // Forward maps v < 0 to +0.0 and passes -0.0, NaN and +inf through;
+  // backward zeroes the gradient exactly where the input was <= 0 (a NaN
+  // input is not <= 0, so its gradient passes).
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ReluLayer layer;
+  Matrix x =
+      Matrix::FromData(1, 7, {-1.0, -0.0, 0.0, 2.0, nan, -inf, inf}).value();
+  const Matrix y = layer.Forward(x);
+  const uint64_t plus_zero = std::bit_cast<uint64_t>(0.0);
+  EXPECT_EQ(std::bit_cast<uint64_t>(y.At(0, 0)), plus_zero);
+  EXPECT_EQ(std::bit_cast<uint64_t>(y.At(0, 1)), std::bit_cast<uint64_t>(-0.0));
+  EXPECT_EQ(std::bit_cast<uint64_t>(y.At(0, 2)), plus_zero);
+  EXPECT_EQ(y.At(0, 3), 2.0);
+  EXPECT_TRUE(std::isnan(y.At(0, 4)));
+  EXPECT_EQ(std::bit_cast<uint64_t>(y.At(0, 5)), plus_zero);
+  EXPECT_EQ(y.At(0, 6), inf);
+
+  Matrix g = Matrix::FromData(1, 7, {-3.0, 4.0, 5.0, -6.0, 7.0, 8.0, -9.0})
+                 .value();
+  const Matrix gx = layer.Backward(g, /*need_input_grad=*/true);
+  const double expected[7] = {0.0, 0.0, 0.0, -6.0, 7.0, 0.0, -9.0};
+  for (size_t j = 0; j < 7; ++j) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(gx.At(0, j)),
+              std::bit_cast<uint64_t>(expected[j]))
+        << "column " << j;
+  }
+  EXPECT_TRUE(layer.Backward(g, /*need_input_grad=*/false).empty());
+}
+
+/// Runs Backward on two identical copies of a layer, one asked for its
+/// input gradient and one not: the skipped copy returns an empty matrix and
+/// both hold the same parameter-gradient bits.
+void ExpectSkippedInputGradientKeepsParameterGradients(Layer* full,
+                                                       Layer* skip,
+                                                       const Matrix& input,
+                                                       Rng* rng) {
+  const Matrix out = full->Forward(input);
+  skip->Forward(input);
+  const Matrix grad = RandomMatrix(out.rows(), out.cols(), rng);
+  const Matrix gx = full->Backward(grad, /*need_input_grad=*/true);
+  EXPECT_TRUE(gx.SameShape(input));
+  EXPECT_TRUE(skip->Backward(grad, /*need_input_grad=*/false).empty());
+  const std::vector<Matrix*> a = full->Grads();
+  const std::vector<Matrix*> b = skip->Grads();
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t p = 0; p < a.size(); ++p) {
+    ASSERT_TRUE(a[p]->SameShape(*b[p]));
+    for (size_t i = 0; i < a[p]->size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(a[p]->data()[i]),
+                std::bit_cast<uint64_t>(b[p]->data()[i]));
+    }
+  }
+}
+
+TEST(DenseLayerTest, SkippedInputGradientKeepsParameterGradients) {
+  Rng rng(5);
+  DenseLayer full(5, 3, &rng);
+  DenseLayer skip = full;
+  const Matrix input = RandomMatrix(7, 5, &rng);
+  ExpectSkippedInputGradientKeepsParameterGradients(&full, &skip, input, &rng);
 }
 
 TEST(ReluLayerTest, GradientsMatchFiniteDifferences) {
@@ -172,6 +240,14 @@ TEST(Conv2dLayerTest, TabularOneByKKernel) {
   CheckLayerGradients(&layer, input, 103, 2e-5);
 }
 
+TEST(Conv2dLayerTest, SkippedInputGradientKeepsParameterGradients) {
+  Rng rng(8);
+  Conv2dLayer full({2, 5, 5}, 3, 3, 3, &rng);
+  Conv2dLayer skip = full;
+  const Matrix input = RandomMatrix(4, 2 * 5 * 5, &rng);
+  ExpectSkippedInputGradientKeepsParameterGradients(&full, &skip, input, &rng);
+}
+
 TEST(MaxPool2dLayerTest, ForwardTakesWindowMaxima) {
   MaxPool2dLayer layer({1, 2, 4}, 2, 2);
   Matrix x =
@@ -187,7 +263,7 @@ TEST(MaxPool2dLayerTest, BackwardRoutesToArgmaxOnly) {
   Matrix x = Matrix::FromData(1, 4, {1, 9, 3, 2}).value();
   layer.Forward(x);
   Matrix gy = Matrix::FromData(1, 1, {2.5}).value();
-  Matrix gx = layer.Backward(gy);
+  Matrix gx = layer.Backward(gy, /*need_input_grad=*/true);
   EXPECT_DOUBLE_EQ(gx.At(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(gx.At(0, 1), 2.5);
   EXPECT_DOUBLE_EQ(gx.At(0, 2), 0.0);

@@ -42,13 +42,13 @@ TEST(SoftmaxTest, ShiftInvariance) {
 
 TEST(CrossEntropyTest, PerfectPredictionNearZeroLoss) {
   Matrix logits = Matrix::FromData(1, 2, {20.0, -20.0}).value();
-  EXPECT_NEAR(SoftmaxCrossEntropyLoss(logits, {0}), 0.0, 1e-8);
-  EXPECT_GT(SoftmaxCrossEntropyLoss(logits, {1}), 10.0);
+  EXPECT_NEAR(SoftmaxCrossEntropy(logits, {0}, nullptr), 0.0, 1e-8);
+  EXPECT_GT(SoftmaxCrossEntropy(logits, {1}, nullptr), 10.0);
 }
 
 TEST(CrossEntropyTest, UniformLogitsGiveLogC) {
   Matrix logits(4, 3);  // All zeros -> uniform distribution.
-  const double loss = SoftmaxCrossEntropyLoss(logits, {0, 1, 2, 0});
+  const double loss = SoftmaxCrossEntropy(logits, {0, 1, 2, 0}, nullptr);
   EXPECT_NEAR(loss, std::log(3.0), 1e-9);
 }
 
@@ -61,7 +61,8 @@ TEST(CrossEntropyGradTest, MatchesFiniteDifferences) {
     labels[i] = static_cast<int>(rng.NextBelow(c));
     for (size_t j = 0; j < c; ++j) logits.At(i, j) = rng.Gaussian(0, 2);
   }
-  Matrix grad = SoftmaxCrossEntropyGrad(logits, labels);
+  Matrix grad;
+  SoftmaxCrossEntropy(logits, labels, &grad);
 
   const double eps = 1e-6;
   for (size_t i = 0; i < n; ++i) {
@@ -69,8 +70,8 @@ TEST(CrossEntropyGradTest, MatchesFiniteDifferences) {
       Matrix up = logits, down = logits;
       up.At(i, j) += eps;
       down.At(i, j) -= eps;
-      const double numeric = (SoftmaxCrossEntropyLoss(up, labels) -
-                              SoftmaxCrossEntropyLoss(down, labels)) /
+      const double numeric = (SoftmaxCrossEntropy(up, labels, nullptr) -
+                              SoftmaxCrossEntropy(down, labels, nullptr)) /
                              (2 * eps);
       EXPECT_NEAR(grad.At(i, j), numeric, 1e-7);
     }
@@ -84,7 +85,8 @@ TEST(CrossEntropyGradTest, RowsSumToZero) {
   for (size_t i = 0; i < 3; ++i) {
     for (size_t j = 0; j < 5; ++j) logits.At(i, j) = rng.Gaussian(0, 1);
   }
-  Matrix grad = SoftmaxCrossEntropyGrad(logits, {4, 2, 0});
+  Matrix grad;
+  SoftmaxCrossEntropy(logits, {4, 2, 0}, &grad);
   for (size_t i = 0; i < 3; ++i) {
     double sum = 0.0;
     for (size_t j = 0; j < 5; ++j) sum += grad.At(i, j);

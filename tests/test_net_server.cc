@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <set>
@@ -120,6 +121,44 @@ TEST_F(NetServerTest, SingleClientSubmitAndResults) {
   const RuntimeStatsSnapshot snapshot = server_->runtime()->Snapshot();
   EXPECT_EQ(snapshot.totals.enqueued, static_cast<uint64_t>(kBatches));
   EXPECT_EQ(snapshot.totals.processed, static_cast<uint64_t>(kBatches));
+}
+
+TEST_F(NetServerTest, SequentialRoundTripsDoNotWaitOnDelayedAck) {
+  // The server writes an ACK and, moments later, the RESULT on the same
+  // connection. Without TCP_NODELAY on the accepted socket, Nagle holds the
+  // RESULT until the client ACKs the first segment, and a plain client
+  // (no TCP_QUICKACK) delays that ACK by up to 40 ms — every round trip
+  // would then take about 40 ms.
+  ServerOptions opts;
+  opts.runtime = FastRuntime();
+  StartServer(opts);
+  StreamClient client(ClientFor());
+  HyperplaneSource source = MakeSource(11);
+  ASSERT_TRUE(client.Submit(3, NextBatch(source, true)).ok());
+
+  constexpr int kRoundTrips = 60;
+  std::vector<double> round_trip_ms;
+  for (int i = 0; i < kRoundTrips; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.Submit(3, NextBatch(source, false)).ok());
+    size_t results = client.TakeResults().size();
+    while (results == 0) {
+      Result<std::vector<StreamResult>> more = client.PollResults(2000);
+      ASSERT_TRUE(more.ok()) << more.status();
+      ASSERT_FALSE(more->empty()) << "no RESULT for round trip " << i;
+      results += more->size();
+    }
+    ASSERT_EQ(results, 1u);
+    round_trip_ms.push_back(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+  }
+  std::sort(round_trip_ms.begin(), round_trip_ms.end());
+  const double p50 = round_trip_ms[round_trip_ms.size() / 2];
+  EXPECT_LT(p50, 10.0) << "SUBMIT->RESULT p50 " << p50
+                       << " ms: replies are waiting on delayed ACKs";
+  client.Disconnect();
+  server_->Stop();
 }
 
 TEST_F(NetServerTest, InMemoryDedupReAcksWithoutIngestLog) {

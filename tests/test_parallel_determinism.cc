@@ -110,7 +110,7 @@ TEST(ParallelDeterminismTest, Conv2dForwardBackward) {
     Matrix input = RandomMatrix(6, shape.FlatSize(), 9);
     Matrix out = conv.Forward(input);
     Matrix grad_out = RandomMatrix(out.rows(), out.cols(), 10);
-    Matrix grad_in = conv.Backward(grad_out);
+    Matrix grad_in = conv.Backward(grad_out, /*need_input_grad=*/true);
     std::vector<Matrix> all = {out, grad_in};
     for (Matrix* g : conv.Grads()) all.push_back(*g);
     return all;

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
 #include "common/rng.h"
+#include "linalg/simd.h"
 #include "ml/models.h"
 
 namespace freeway {
@@ -164,6 +169,118 @@ TEST(SequentialModelTest, SerializedBytesTracksParameterCount) {
   // 10*2 weights + 2 biases = 22 params.
   EXPECT_EQ(lr->ParameterCount(), 22u);
   EXPECT_EQ(lr->SerializedBytes(), 16u + 8u * 22u);
+}
+
+/// FNV-1a over the bytes of `values`: a digest of exact bit patterns.
+uint64_t BitDigest(const double* values, size_t n) {
+  uint64_t h = 1469598103934665603ull;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(values);
+  for (size_t i = 0; i < n * sizeof(double); ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// A fixed seeded 16-feature, 4-class stream. About a tenth of the features
+/// are exactly zero (some -0.0), so the matmul zero-skip runs in layer 0 as
+/// well as after the ReLU.
+void StreamBatch(Rng& rng, size_t rows, Matrix* x, std::vector<int>* y) {
+  *x = Matrix(rows, 16);
+  y->resize(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    double score[4] = {};
+    for (size_t j = 0; j < 16; ++j) {
+      const double u = rng.NextDouble();
+      const double v = u < 0.05 ? 0.0 : u < 0.1 ? -0.0 : rng.Gaussian(0, 1);
+      x->At(i, j) = v;
+      score[j % 4] += v;
+    }
+    int best = 0;
+    for (int c = 1; c < 4; ++c) {
+      if (score[c] > score[best]) best = c;
+    }
+    (*y)[i] = best;
+  }
+}
+
+struct LearnerDigests {
+  uint64_t params;
+  uint64_t proba;
+};
+
+/// Digests of MakeMlp(16, 4) after 64 TrainBatch steps on StreamBatch, and
+/// of its PredictProba on one more batch, under the active dispatch target.
+LearnerDigests TrainAndDigest() {
+  auto model = MakeMlp(16, 4);
+  Rng rng(2024);
+  Matrix x;
+  std::vector<int> y;
+  for (int step = 0; step < 64; ++step) {
+    StreamBatch(rng, 96, &x, &y);
+    EXPECT_TRUE(model->TrainBatch(x, y).ok());
+  }
+  const std::vector<double> params = model->GetParameters();
+  StreamBatch(rng, 96, &x, &y);
+  auto proba = model->PredictProba(x);
+  EXPECT_TRUE(proba.ok());
+  return {BitDigest(params.data(), params.size()),
+          BitDigest(proba->data(), proba->size())};
+}
+
+std::string Hex(uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// Runs `fn` once under each dispatch target the host supports, restoring
+/// the resolved target afterwards.
+template <typename Fn>
+void ForEachTarget(Fn fn) {
+  const simd::DispatchTarget restore = simd::ActiveTarget();
+  for (simd::DispatchTarget target :
+       {simd::DispatchTarget::kScalar, simd::DispatchTarget::kAvx2}) {
+    fn(simd::ForceTarget(target));
+  }
+  simd::ForceTarget(restore);
+}
+
+// The learner's bits per dispatch target, recorded before the matmul
+// kernels were rewritten as whole-block kernels and before layer 0 stopped
+// computing its input gradient. Any change to these is a change to every
+// paper output and replay tape.
+TEST(SequentialModelTest, MlpTrainingIsBitIdenticalPerDispatchTarget) {
+  ForEachTarget([](simd::DispatchTarget target) {
+    const bool avx2 = target == simd::DispatchTarget::kAvx2;
+    const LearnerDigests d = TrainAndDigest();
+    const char* params = avx2 ? "0x76497461891f0a12" : "0x6cb4528df9a87643";
+    const char* proba = avx2 ? "0x88f30e7702692a82" : "0x5f00a4ab68155c5f";
+    EXPECT_EQ(Hex(d.params), params) << simd::TargetName(target);
+    EXPECT_EQ(Hex(d.proba), proba) << simd::TargetName(target);
+  });
+}
+
+TEST(SequentialModelTest, ComputeGradientIsBitIdenticalPerDispatchTarget) {
+  ForEachTarget([](simd::DispatchTarget target) {
+    const bool avx2 = target == simd::DispatchTarget::kAvx2;
+    auto model = MakeMlp(16, 4);
+    Rng rng(77);
+    Matrix x;
+    std::vector<int> y;
+    StreamBatch(rng, 128, &x, &y);
+    ASSERT_TRUE(model->TrainBatch(x, y).ok());  // Move off the init point.
+    StreamBatch(rng, 128, &x, &y);
+    std::vector<double> grad;
+    auto loss = model->ComputeGradient(x, y, &grad);
+    ASSERT_TRUE(loss.ok());
+    ASSERT_EQ(grad.size(), model->ParameterCount());
+    grad.push_back(*loss);
+    EXPECT_EQ(Hex(BitDigest(grad.data(), grad.size())),
+              avx2 ? "0x57432e5d6a60f3b8" : "0xebccdf30d57759ef")
+        << simd::TargetName(target);
+  });
 }
 
 }  // namespace

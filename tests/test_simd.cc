@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "clustering/kmeans.h"
@@ -23,7 +27,9 @@ namespace {
 /// so scalar and vector results are NOT bit-identical — they differ by
 /// reassociation-level rounding. The bound used here is a relative 1e-12
 /// (double epsilon is ~2.2e-16; thousands of accumulations stay far below
-/// 1e-12 relative for well-conditioned inputs).
+/// 1e-12 relative for well-conditioned inputs). The block matmul kernels
+/// are held to more: per target, exact bit equality with a plain
+/// per-element reference loop.
 
 constexpr double kRelTol = 1e-12;
 
@@ -74,124 +80,280 @@ TEST(SimdDispatchTest, ForceTargetInstallsAndReports) {
 }
 
 TEST(SimdKernelTest, DotMatchesAcrossTargets) {
+  // A single-element MatMulTransposeBlock is one dot product. Lengths
+  // straddle every AVX2 code path: sub-lane, one lane, unaligned tails, and
+  // a long reduction.
   Rng rng(17);
-  // Lengths straddle every AVX2 code path: sub-lane, one lane, unaligned
-  // tails, and a long reduction.
   for (size_t n : {0u, 1u, 3u, 4u, 7u, 8u, 15u, 16u, 17u, 64u, 1001u}) {
     const std::vector<double> a = RandomVector(rng, n);
     const std::vector<double> b = RandomVector(rng, n);
     double scalar = 0.0, vector = 0.0;
     {
       TargetGuard g(simd::DispatchTarget::kScalar);
-      scalar = simd::Dot(a.data(), b.data(), n);
+      simd::MatMulTransposeBlock(a.data(), 1, n, b.data(), 1, &scalar);
     }
     {
       TargetGuard g(simd::DispatchTarget::kAvx2);
-      vector = simd::Dot(a.data(), b.data(), n);
+      simd::MatMulTransposeBlock(a.data(), 1, n, b.data(), 1, &vector);
     }
     ExpectClose(scalar, vector, "Dot");
   }
 }
 
+/// Nearest of `k` centroids for each of `n` points under one target.
+std::vector<int> AssignUnder(simd::DispatchTarget target,
+                             const std::vector<double>& points, size_t n,
+                             const std::vector<double>& centroids, size_t k,
+                             size_t dim) {
+  TargetGuard g(target);
+  std::vector<int> out(n, -1);
+  simd::NearestCentroids(points.data(), n, centroids.data(), k, dim,
+                         out.data());
+  return out;
+}
+
 TEST(SimdKernelTest, SquaredDistanceMatchesAcrossTargets) {
+  // The distance scan behind NearestCentroids, at lengths straddling the
+  // AVX2 8-wide, 4-wide and scalar-tail paths: on random data the argmin
+  // is stable under rounding-level differences, so both targets agree.
   Rng rng(19);
-  for (size_t n : {1u, 2u, 8u, 9u, 31u, 32u, 33u, 257u}) {
-    const std::vector<double> a = RandomVector(rng, n);
-    const std::vector<double> b = RandomVector(rng, n);
-    double scalar = 0.0, vector = 0.0;
-    {
-      TargetGuard g(simd::DispatchTarget::kScalar);
-      scalar = simd::SquaredDistance(a.data(), b.data(), n);
+  for (size_t dim : {1u, 2u, 8u, 9u, 31u, 32u, 33u, 257u}) {
+    const size_t n = 40, k = 5;
+    const std::vector<double> points = RandomVector(rng, n * dim);
+    const std::vector<double> centroids = RandomVector(rng, k * dim);
+    const std::vector<int> scalar = AssignUnder(
+        simd::DispatchTarget::kScalar, points, n, centroids, k, dim);
+    const std::vector<int> vector = AssignUnder(simd::DispatchTarget::kAvx2,
+                                                points, n, centroids, k, dim);
+    EXPECT_EQ(scalar, vector) << "dim=" << dim;
+    for (int c : vector) {
+      EXPECT_GE(c, 0);
+      EXPECT_LT(c, static_cast<int>(k));
     }
-    {
-      TargetGuard g(simd::DispatchTarget::kAvx2);
-      vector = simd::SquaredDistance(a.data(), b.data(), n);
-    }
-    ExpectClose(scalar, vector, "SquaredDistance");
-    EXPECT_GE(vector, 0.0);
   }
 }
 
-TEST(SimdKernelTest, AccumPanel4MatchesAcrossTargets) {
-  Rng rng(23);
-  for (size_t n : {1u, 4u, 5u, 8u, 12u, 13u, 100u}) {
-    const std::vector<double> b0 = RandomVector(rng, n);
-    const std::vector<double> b1 = RandomVector(rng, n);
-    const std::vector<double> b2 = RandomVector(rng, n);
-    const std::vector<double> b3 = RandomVector(rng, n);
-    const std::vector<double> base = RandomVector(rng, n);
-    const double a0 = rng.NextDouble(), a1 = rng.NextDouble(),
-                 a2 = rng.NextDouble(), a3 = rng.NextDouble();
-    std::vector<double> scalar = base, vector = base;
-    {
-      TargetGuard g(simd::DispatchTarget::kScalar);
-      simd::AccumPanel4(scalar.data(), b0.data(), b1.data(), b2.data(),
-                        b3.data(), a0, a1, a2, a3, n);
+/// Per-element reference for the block kernels: the bit-identity contract
+/// spelled out as plain loops, one per dispatch target.
+double ReferenceProduct(simd::DispatchTarget target, const double* a,
+                        const double* b, size_t n, size_t k) {
+  double t = 0.0;
+  for (size_t kk = 0; kk < k; ++kk) {
+    const double av = a[kk];
+    if (av == 0.0) continue;
+    t = target == simd::DispatchTarget::kAvx2 ? std::fma(av, b[kk * n], t)
+                                              : t + av * b[kk * n];
+  }
+  return t;
+}
+
+/// DotAvx2's order: four 4-lane accumulators over 16-blocks, remaining
+/// 4-blocks into the first, Reduce4 (pairwise, then lanes low to high),
+/// then a scalar fma tail.
+double ReferenceDot(simd::DispatchTarget target, const double* a,
+                    const double* b, size_t k) {
+  if (target == simd::DispatchTarget::kScalar) {
+    double t = 0.0;
+    for (size_t kk = 0; kk < k; ++kk) t += a[kk] * b[kk];
+    return t;
+  }
+  double acc[4][4] = {};
+  size_t i = 0;
+  for (; i + 16 <= k; i += 16) {
+    for (size_t x = 0; x < 4; ++x) {
+      for (size_t l = 0; l < 4; ++l) {
+        acc[x][l] = std::fma(a[i + 4 * x + l], b[i + 4 * x + l], acc[x][l]);
+      }
     }
-    {
-      TargetGuard g(simd::DispatchTarget::kAvx2);
-      simd::AccumPanel4(vector.data(), b0.data(), b1.data(), b2.data(),
-                        b3.data(), a0, a1, a2, a3, n);
+  }
+  for (; i + 4 <= k; i += 4) {
+    for (size_t l = 0; l < 4; ++l) {
+      acc[0][l] = std::fma(a[i + l], b[i + l], acc[0][l]);
     }
+  }
+  double s[4];
+  for (size_t l = 0; l < 4; ++l) {
+    s[l] = (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]);
+  }
+  double t = ((s[0] + s[1]) + s[2]) + s[3];
+  for (; i < k; ++i) t = std::fma(a[i], b[i], t);
+  return t;
+}
+
+void ExpectSameBits(double expected, double actual, const std::string& what) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(expected), std::bit_cast<uint64_t>(actual))
+      << what << ": expected " << expected << " got " << actual;
+}
+
+/// A (m x k) with about a third zeros, some of them -0.0, and one all-zero
+/// column `hidden`: B's row `hidden` holds +-inf, which the zero-skip must
+/// keep out of every output.
+Matrix ZeroRichA(Rng& rng, size_t m, size_t k, size_t hidden) {
+  Matrix a(m, k);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t kk = 0; kk < k; ++kk) {
+      const double u = rng.NextDouble();
+      const double v = u < 0.2 ? 0.0 : u < 0.35 ? -0.0 : rng.Uniform(-1, 1);
+      a.At(i, kk) = kk == hidden ? (i % 2 == 0 ? 0.0 : -0.0) : v;
+    }
+  }
+  return a;
+}
+
+Matrix InfBehindZeroB(Rng& rng, size_t k, size_t n, size_t hidden) {
+  Matrix b(k, n);
+  for (size_t kk = 0; kk < k; ++kk) {
     for (size_t j = 0; j < n; ++j) {
-      ExpectClose(scalar[j], vector[j], "AccumPanel4");
+      b.At(kk, j) = kk == hidden
+                        ? (j % 2 == 0 ? 1.0 : -1.0) *
+                              std::numeric_limits<double>::infinity()
+                        : rng.Uniform(-1.0, 1.0);
+    }
+  }
+  return b;
+}
+
+const simd::DispatchTarget kTargets[] = {simd::DispatchTarget::kScalar,
+                                         simd::DispatchTarget::kAvx2};
+
+TEST(SimdKernelTest, MatMulBlockIsBitIdenticalToReference) {
+  Rng rng(23);
+  for (simd::DispatchTarget requested : kTargets) {
+    TargetGuard g(requested);
+    const simd::DispatchTarget target = g.installed();
+    for (size_t n : {1u, 3u, 4u, 5u, 8u, 64u}) {
+      for (size_t k : {1u, 7u, 13u, 18u, 35u}) {
+        for (size_t m : {1u, 3u, 9u, 17u}) {
+          const size_t hidden = k / 2;
+          const Matrix a = ZeroRichA(rng, m, k, hidden);
+          const Matrix b = InfBehindZeroB(rng, k, n, hidden);
+          std::vector<double> out(m * n, 1.0);
+          simd::MatMulBlock(a.data(), k, 1, m, k, b.data(), n, out.data());
+          for (size_t i = 0; i < m; ++i) {
+            for (size_t j = 0; j < n; ++j) {
+              ExpectSameBits(ReferenceProduct(target, a.data() + i * k,
+                                              b.data() + j, n, k),
+                             out[i * n + j],
+                             std::string(simd::TargetName(target)) + " m=" +
+                                 std::to_string(m) + " k=" +
+                                 std::to_string(k) + " n=" + std::to_string(n));
+            }
+          }
+          // The same A stored transposed (k x m), read with strides (1, m).
+          const Matrix at = a.Transposed();
+          std::vector<double> out_t(m * n, 1.0);
+          simd::MatMulBlock(at.data(), 1, m, m, k, b.data(), n, out_t.data());
+          for (size_t idx = 0; idx < out.size(); ++idx) {
+            ExpectSameBits(out[idx], out_t[idx], "strided A");
+          }
+        }
+      }
     }
   }
 }
 
-TEST(SimdKernelTest, AxpyRowMatchesAcrossTargets) {
+TEST(SimdKernelTest, MatMulBlockWithoutZerosMatchesReference) {
+  // A block with no zero entry (raw features, gradients): every product
+  // counts.
+  Rng rng(27);
+  for (simd::DispatchTarget requested : kTargets) {
+    TargetGuard g(requested);
+    const simd::DispatchTarget target = g.installed();
+    for (size_t n : {1u, 3u, 4u, 5u, 8u, 64u}) {
+      const size_t m = 11, k = 21;
+      Matrix a(m, k), b(k, n);
+      for (size_t i = 0; i < a.size(); ++i) a.data()[i] = rng.Uniform(0.5, 2.0);
+      for (size_t i = 0; i < b.size(); ++i) b.data()[i] = rng.Uniform(-1, 1);
+      std::vector<double> out(m * n);
+      simd::MatMulBlock(a.data(), k, 1, m, k, b.data(), n, out.data());
+      for (size_t i = 0; i < m; ++i) {
+        for (size_t j = 0; j < n; ++j) {
+          ExpectSameBits(
+              ReferenceProduct(target, a.data() + i * k, b.data() + j, n, k),
+              out[i * n + j], "no zeros n=" + std::to_string(n));
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, ZeroSkipKeepsAnUnderflowedNegativeZero) {
+  // Under FMA, 1e-200 * -1e-200 added to +0 rounds to -0.0; a following
+  // zero entry of A must leave that -0.0 alone (adding a +0 product would
+  // turn it into +0.0).
+  for (simd::DispatchTarget requested : kTargets) {
+    TargetGuard g(requested);
+    const simd::DispatchTarget target = g.installed();
+    for (size_t n : {1u, 4u, 16u}) {
+      Matrix a(1, 2), b(2, n);
+      a.At(0, 0) = 1e-200;
+      a.At(0, 1) = 0.0;
+      for (size_t j = 0; j < n; ++j) {
+        b.At(0, j) = -1e-200;
+        b.At(1, j) = 3.0;
+      }
+      std::vector<double> out(n);
+      simd::MatMulBlock(a.data(), 2, 1, 1, 2, b.data(), n, out.data());
+      for (size_t j = 0; j < n; ++j) {
+        ExpectSameBits(
+            ReferenceProduct(target, a.data(), b.data() + j, n, 2), out[j],
+            "underflow n=" + std::to_string(n));
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, MatMulTransposeBlockIsBitIdenticalToDot) {
   Rng rng(29);
-  for (size_t n : {1u, 3u, 8u, 11u, 64u}) {
-    const std::vector<double> b = RandomVector(rng, n);
-    const std::vector<double> base = RandomVector(rng, n);
-    const double a = rng.Uniform(-2.0, 2.0);
-    std::vector<double> scalar = base, vector = base;
-    {
-      TargetGuard g(simd::DispatchTarget::kScalar);
-      simd::AxpyRow(scalar.data(), b.data(), a, n);
+  for (simd::DispatchTarget requested : kTargets) {
+    TargetGuard g(requested);
+    const simd::DispatchTarget target = g.installed();
+    for (size_t p : {1u, 3u, 4u, 5u, 8u, 64u}) {
+      for (size_t k : {0u, 1u, 3u, 4u, 7u, 8u, 13u, 16u, 18u, 35u}) {
+        const size_t m = 9;
+        Matrix a(m, k), b(p, k);
+        for (size_t i = 0; i < a.size(); ++i) {
+          a.data()[i] = i % 5 == 0 ? -0.0 : rng.Uniform(-1.0, 1.0);
+        }
+        for (size_t i = 0; i < b.size(); ++i) b.data()[i] = rng.Uniform(-1, 1);
+        std::vector<double> out(m * p, 1.0);
+        simd::MatMulTransposeBlock(a.data(), m, k, b.data(), p, out.data());
+        for (size_t i = 0; i < m; ++i) {
+          for (size_t j = 0; j < p; ++j) {
+            const std::string what = std::string(simd::TargetName(target)) +
+                                     " p=" + std::to_string(p) +
+                                     " k=" + std::to_string(k);
+            const double expected =
+                ReferenceDot(target, a.data() + i * k, b.data() + j * k, k);
+            ExpectSameBits(expected, out[i * p + j], what);
+          }
+        }
+      }
     }
-    {
-      TargetGuard g(simd::DispatchTarget::kAvx2);
-      simd::AxpyRow(vector.data(), b.data(), a, n);
-    }
-    for (size_t j = 0; j < n; ++j) ExpectClose(scalar[j], vector[j], "Axpy");
   }
 }
 
 TEST(SimdKernelTest, NearestCentroidAgreesAndBreaksTiesLow) {
   Rng rng(31);
   for (size_t dim : {2u, 8u, 9u, 33u}) {
-    const size_t k = 7;
+    const size_t k = 7, n = 20;
     std::vector<double> centroids(k * dim);
     for (double& x : centroids) x = rng.NextDouble();
-    for (int trial = 0; trial < 20; ++trial) {
-      const std::vector<double> point = RandomVector(rng, dim);
-      double d2_scalar = 0.0, d2_vector = 0.0;
-      int scalar = -1, vector = -1;
-      {
-        TargetGuard g(simd::DispatchTarget::kScalar);
-        scalar = simd::NearestCentroid(point.data(), centroids.data(), k, dim,
-                                       &d2_scalar);
-      }
-      {
-        TargetGuard g(simd::DispatchTarget::kAvx2);
-        vector = simd::NearestCentroid(point.data(), centroids.data(), k, dim,
-                                       &d2_vector);
-      }
-      // Random points have distinct distances, so the winner must agree
-      // exactly (a tolerance-level distance tie would be a different test).
-      EXPECT_EQ(scalar, vector) << "dim=" << dim << " trial=" << trial;
-      ExpectClose(d2_scalar, d2_vector, "NearestCentroid d2");
-    }
+    const std::vector<double> points = RandomVector(rng, n * dim);
+    // Random points have distinct distances, so the winner must agree
+    // exactly (a tolerance-level distance tie would be a different test).
+    EXPECT_EQ(AssignUnder(simd::DispatchTarget::kScalar, points, n, centroids,
+                          k, dim),
+              AssignUnder(simd::DispatchTarget::kAvx2, points, n, centroids,
+                          k, dim))
+        << "dim=" << dim;
   }
 
   // Exact duplicate centroids: both targets must pick the lowest index.
   const std::vector<double> point = {0.5, 0.5};
   const std::vector<double> dup = {3.0, 3.0, 0.5, 0.5, 0.5, 0.5, 9.0, 9.0};
-  for (simd::DispatchTarget t :
-       {simd::DispatchTarget::kScalar, simd::DispatchTarget::kAvx2}) {
-    TargetGuard g(t);
-    EXPECT_EQ(simd::NearestCentroid(point.data(), dup.data(), 4, 2), 1);
+  for (simd::DispatchTarget t : kTargets) {
+    EXPECT_EQ(AssignUnder(t, point, 1, dup, 4, 2), std::vector<int>{1});
   }
 }
 
@@ -224,8 +386,9 @@ TEST(SimdIntegrationTest, MatMulToleranceAcrossTargets) {
 
 TEST(SimdIntegrationTest, MatMulZeroSkipStillShortCircuitsNonFinite) {
   // The zero-skip contract: a == 0 entries are skipped entirely, so a 0 row
-  // weight times an inf/NaN operand contributes nothing under BOTH targets
-  // (the AVX2 panel only runs on all-nonzero groups).
+  // weight times an inf/NaN operand contributes nothing under BOTH targets:
+  // MatMulBlock keeps the old accumulator (AVX2) or adds +0.0 (scalar)
+  // wherever a == 0.
   Matrix a(1, 4), b(4, 3);
   a.At(0, 0) = 1.0;
   a.At(0, 1) = 0.0;  // row of b with non-finite values — must be skipped
@@ -273,6 +436,54 @@ TEST(SimdIntegrationTest, KMeansAssignmentsAgreeAcrossTargets) {
   // differences at most, and on random data the argmin per point is stable
   // under 1e-12-relative perturbation.
   EXPECT_EQ(scalar_assign, vector_assign);
+}
+
+/// FNV-1a over raw bytes, chained from `h`.
+uint64_t Fnv(uint64_t h, const void* data, size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(SimdIntegrationTest, KMeansOutputBitsArePinned) {
+  // The shapes CEC clusters (experience rows plus a query batch, three
+  // offset blobs) and a few odd ones. The digests cover centroids,
+  // assignments, inertia and iteration count, and were recorded while the
+  // Lloyd step still called the per-point NearestCentroid once per point.
+  struct Case {
+    size_t n, dim, k;
+    uint64_t seed;
+    uint64_t digest;
+  };
+  const Case cases[] = {{1150, 8, 4, 5, 0x616004a54c5f59bdull},
+                        {97, 33, 7, 6, 0x997f45de0a5222b7ull},
+                        {333, 5, 3, 7, 0xa491bcb3d14aff60ull},
+                        {64, 2, 4, 8, 0xab8216626f636936ull}};
+  for (simd::DispatchTarget t : kTargets) {
+    TargetGuard g(t);
+    for (const Case& c : cases) {
+      Rng rng(c.seed);
+      Matrix points(c.n, c.dim);
+      for (size_t i = 0; i < c.n; ++i) {
+        for (size_t d = 0; d < c.dim; ++d) {
+          points.At(i, d) =
+              rng.Uniform(-1.0, 1.0) + 1.5 * static_cast<double>(i % 3);
+        }
+      }
+      Result<KMeansResult> km = KMeans(points, c.k);
+      ASSERT_TRUE(km.ok()) << km.status();
+      uint64_t h = 1469598103934665603ull;
+      h = Fnv(h, km->centroids.data(), sizeof(double) * c.k * c.dim);
+      h = Fnv(h, km->assignments.data(), sizeof(int) * c.n);
+      h = Fnv(h, &km->inertia, sizeof(double));
+      h = Fnv(h, &km->iterations, sizeof(int));
+      EXPECT_EQ(h, c.digest) << simd::TargetName(t) << " n=" << c.n
+                             << " dim=" << c.dim << " k=" << c.k;
+    }
+  }
 }
 
 }  // namespace
