@@ -1,6 +1,6 @@
 // Replication cost benchmark: what quorum durability charges per batch,
-// and what failover costs a stream. Three legs, all in-process clusters
-// on loopback:
+// what failover costs a stream, and how often the leader ships each
+// entry. Four legs, all in-process clusters on loopback:
 //   (a) submit→ACK latency against a 1-node replicated cluster (same
 //       code path as production replication — raft log append + apply —
 //       but no network quorum round);
@@ -9,7 +9,10 @@
 //   (c) failover-to-first-ACK: the leader is partitioned away (FailPoint,
 //       full send+recv drop) and the clock runs from the partition to the
 //       next successful ACK on the new leader — election, client
-//       rotation, and redirect chasing included.
+//       rotation, and redirect chasing included;
+//   (d) shipping: concurrent clients against a 3-node cluster, so several
+//       proposals queue per driver pass; counts the leader's AppendEntries
+//       entries and messages per committed entry.
 // Emits BENCH_replication.json.
 
 #include <algorithm>
@@ -19,6 +22,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -131,6 +135,8 @@ class Cluster {
   }
 
   const std::vector<uint16_t>& ports() const { return ports_; }
+  MetricsRegistry& registry(int i) { return *registries_[i]; }
+  StreamServer& node(int i) { return *nodes_[i]; }
 
  private:
   fs::path root_;
@@ -156,9 +162,9 @@ Batch MakeBatch(uint64_t seed, int64_t index) {
 }
 
 ClientOptions ClusterClientOptions(const std::vector<uint16_t>& ports,
-                                   int leader) {
+                                   int leader, uint64_t client_id = 9001) {
   ClientOptions copts;
-  copts.client_id = 9001;
+  copts.client_id = client_id;
   copts.max_submit_attempts = 64;
   copts.reply_timeout_millis = 500;
   copts.backoff_initial_micros = 200;
@@ -213,6 +219,49 @@ double MeasureFailoverMillis(const fs::path& root) {
   return millis;
 }
 
+struct ShippingStats {
+  uint64_t committed = 0;
+  /// Entries the leader put on peer links, per committed entry and peer
+  /// (1.0 when nothing is shipped twice).
+  double entries_sent_per_entry_per_peer = 0.0;
+  /// Leader messages out (appends + heartbeats) per committed entry.
+  double messages_per_entry = 0.0;
+};
+
+ShippingStats MeasureShipping(const fs::path& root) {
+  constexpr int kClients = 16;
+  constexpr int kBatchesPerClient = 40;
+  Cluster cluster(root, 3);
+  const int leader = cluster.WaitForLeader();
+  if (leader < 0) return {};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&cluster, leader, c] {
+      StreamClient client(
+          ClusterClientOptions(cluster.ports(), leader, 9100 + c));
+      for (int b = 0; b < kBatchesPerClient; ++b) {
+        client.Submit(c, MakeBatch(4000 + c * kBatchesPerClient + b, b))
+            .CheckOk();
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  MetricsRegistry& m = cluster.registry(leader);
+  ShippingStats stats;
+  stats.committed = cluster.node(leader).replicator()->commit_index();
+  const double entries = static_cast<double>(stats.committed);
+  stats.entries_sent_per_entry_per_peer =
+      static_cast<double>(
+          m.GetCounter("freeway_raft_entries_sent_total")->Value()) /
+      entries / 2.0;
+  stats.messages_per_entry =
+      static_cast<double>(
+          m.GetCounter("freeway_raft_messages_total{dir=\"out\"}")
+              ->Value()) /
+      entries;
+  return stats;
+}
+
 }  // namespace
 
 int main() {
@@ -225,6 +274,7 @@ int main() {
   const LatencyStats one = MeasureSubmitLatency(scratch / "one", 1);
   const LatencyStats three = MeasureSubmitLatency(scratch / "three", 3);
   const double failover_ms = MeasureFailoverMillis(scratch / "failover");
+  const ShippingStats shipping = MeasureShipping(scratch / "shipping");
 
   TablePrinter table({"Leg", "p50 us", "p99 us", "mean us"});
   table.AddRow({"1-node submit->ACK", FormatDouble(one.p50_micros, 1),
@@ -237,6 +287,11 @@ int main() {
   std::printf("quorum tax (p50): %.1f us\n",
               three.p50_micros - one.p50_micros);
   std::printf("failover to first ACK: %.1f ms\n", failover_ms);
+  std::printf("shipping: %llu committed entries, %.3f entries sent per "
+              "entry per peer, %.3f leader messages per entry\n",
+              static_cast<unsigned long long>(shipping.committed),
+              shipping.entries_sent_per_entry_per_peer,
+              shipping.messages_per_entry);
 
   std::ofstream out("BENCH_replication.json");
   out << "{\n"
@@ -247,7 +302,10 @@ int main() {
       << kDim
       << " after warm-up; and failover-to-first-ACK wall time when the "
          "3-node leader is fully partitioned (FailPoint send+recv drop) "
-         "mid-stream. From bench/replication.\",\n"
+         "mid-stream; and, with 16 concurrent clients on a 3-node "
+         "cluster, the leader's entries shipped per committed entry per "
+         "peer (1.0 = no re-send) and messages per committed entry. From "
+         "bench/replication.\",\n"
       << "  \"host\": " << HostJson() << ",\n"
       << "  \"submit_ack_latency\": {\n"
       << "    \"one_node\": " << StatsJson(one) << ",\n"
@@ -255,7 +313,12 @@ int main() {
       << "  \"quorum_tax_p50_micros\": "
       << FormatDouble(three.p50_micros - one.p50_micros, 1) << ",\n"
       << "  \"failover_to_first_ack_millis\": "
-      << FormatDouble(failover_ms, 1) << "\n"
+      << FormatDouble(failover_ms, 1) << ",\n"
+      << "  \"shipping\": {\"committed_entries\": " << shipping.committed
+      << ", \"entries_sent_per_entry_per_peer\": "
+      << FormatDouble(shipping.entries_sent_per_entry_per_peer, 3)
+      << ", \"messages_per_entry\": "
+      << FormatDouble(shipping.messages_per_entry, 3) << "}\n"
       << "}\n";
   std::printf("Wrote BENCH_replication.json\n");
 

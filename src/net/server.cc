@@ -554,7 +554,7 @@ void StreamServer::HandleFrame(Worker& w, int fd, const Frame& frame) {
         CloseConnection(w, fd);
         return;
       }
-      replicator_->Deliver(*message);
+      replicator_->Deliver(std::move(*message));
       return;
     }
     default: {
@@ -595,8 +595,7 @@ void StreamServer::HandleSubmit(Worker& w, int fd, const Frame& frame) {
   // the result before TrySubmit even returns. It also precedes the dedup
   // check on purpose — a resend arrives on a *new* connection, and results
   // of the originally-admitted batch should follow the client there.
-  w.routes[stream_id] = fd;
-  RouteStreamTo(stream_id, w.index);
+  RouteResultsTo(w, fd, stream_id);
 
   // Exactly-once admission. A tracked sequence at or below the client's
   // watermark was already admitted (its ACK died with the old connection):
@@ -805,6 +804,16 @@ void StreamServer::CloseConnection(Worker& w, int fd) {
     if (metrics_.torn_frames != nullptr) metrics_.torn_frames->Inc();
   }
   w.fd_by_conn_id.erase(conn.id);
+  for (uint64_t stream_id : conn.routed_streams) {
+    auto route = w.routes.find(stream_id);
+    if (route == w.routes.end() || route->second != conn.id) continue;
+    w.routes.erase(route);
+    // Their results can no longer be delivered, so nothing will observe
+    // these admission times.
+    w.pending_latency.erase(
+        w.pending_latency.lower_bound({stream_id, INT64_MIN}),
+        w.pending_latency.upper_bound({stream_id, INT64_MAX}));
+  }
   net::CloseFd(fd);
   w.conns.erase(it);
   active_connections_.fetch_sub(1, std::memory_order_acq_rel);
@@ -832,11 +841,13 @@ void StreamServer::DrainOutbox(Worker& w) {
   }
   for (StreamResult& result : results) {
     auto route = w.routes.find(result.stream_id);
-    if (route == w.routes.end() ||
-        w.conns.find(route->second) == w.conns.end()) {
+    auto target = route == w.routes.end() ? w.fd_by_conn_id.end()
+                                          : w.fd_by_conn_id.find(route->second);
+    if (target == w.fd_by_conn_id.end()) {
       if (metrics_.results_dropped != nullptr) {
         metrics_.results_dropped->Inc();
       }
+      w.pending_latency.erase({result.stream_id, result.batch_index});
       continue;
     }
     if (metrics_.request_seconds != nullptr) {
@@ -850,8 +861,18 @@ void StreamServer::DrainOutbox(Worker& w) {
       }
     }
     if (metrics_.results != nullptr) metrics_.results->Inc();
-    QueueFrame(w, route->second, EncodeResult(result));
+    QueueFrame(w, target->second, EncodeResult(result));
   }
+}
+
+void StreamServer::RouteResultsTo(Worker& w, int fd, uint64_t stream_id) {
+  Connection& conn = *w.conns.at(fd);
+  uint64_t& route = w.routes[stream_id];
+  if (route != conn.id) {
+    route = conn.id;
+    conn.routed_streams.insert(stream_id);
+  }
+  RouteStreamTo(stream_id, w.index);
 }
 
 void StreamServer::HandleSubmitReplicated(Worker& w, int fd,
@@ -860,8 +881,7 @@ void StreamServer::HandleSubmitReplicated(Worker& w, int fd,
   const int64_t batch_index = message.batch.index;
   // Route publication still precedes everything: results (and the deferred
   // ACK, by connection id) follow the client's newest connection.
-  w.routes[stream_id] = fd;
-  RouteStreamTo(stream_id, w.index);
+  RouteResultsTo(w, fd, stream_id);
 
   auto redirect = [&] {
     NotLeaderMessage reply;

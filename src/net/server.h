@@ -13,6 +13,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -232,6 +233,9 @@ class StreamServer {
     bool http = false;
     std::vector<char> http_buf;
     bool close_after_flush = false;
+    /// Streams whose results were routed here at some point; their route
+    /// entries are erased on close if they still point at this connection.
+    std::unordered_set<uint64_t> routed_streams;
   };
 
   /// One reactor: a listener, a self-pipe, and every piece of connection
@@ -249,9 +253,10 @@ class StreamServer {
     /// Connection-id allocator + reverse index (loop thread only).
     uint64_t next_conn_id = 1;
     std::unordered_map<uint64_t, int> fd_by_conn_id;
-    /// stream_id → fd of the connection that most recently submitted it
-    /// on this worker.
-    std::unordered_map<uint64_t, int> routes;
+    /// stream_id → id of the connection that most recently submitted it
+    /// on this worker (an id, not an fd: a closed connection's fd number
+    /// is soon reused by a stranger). Erased when that connection closes.
+    std::unordered_map<uint64_t, uint64_t> routes;
     /// (stream_id, batch_index) → admission time of unlabeled batches, for
     /// the request-latency histogram.
     std::map<std::pair<uint64_t, int64_t>,
@@ -341,6 +346,9 @@ class StreamServer {
   void WakeAllWorkers();
   /// Publishes `stream_id → w` for result handoff.
   void RouteStreamTo(uint64_t stream_id, size_t worker_index);
+  /// Sends `stream_id`'s results to the connection on `fd` (loop thread),
+  /// and publishes the stream's worker.
+  void RouteResultsTo(Worker& w, int fd, uint64_t stream_id);
   /// FaultToleranceOptions::on_checkpoint sink (drain threads): shard
   /// `shard` has consumed `consumed` batches, all covered by a checkpoint.
   void OnShardCheckpoint(size_t shard, uint64_t consumed);

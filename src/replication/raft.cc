@@ -1,6 +1,7 @@
 #include "replication/raft.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.h"
 #include "fault/failpoint.h"
@@ -43,50 +44,74 @@ Status RaftStorage::SetHardState(uint64_t term, uint64_t voted_for) {
 }
 
 uint64_t RaftStorage::TermAt(uint64_t index) const {
-  if (index == 0 || index > entries_.size()) return 0;
-  return entries_[index - 1].term;
+  if (index == 0 || index > last_index_) return 0;
+  // The last run starting at or before `index` holds it.
+  auto run = std::upper_bound(
+      term_runs_.begin(), term_runs_.end(), index,
+      [](uint64_t i, const std::pair<uint64_t, uint64_t>& r) {
+        return i < r.first;
+      });
+  return std::prev(run)->second;
 }
 
-const RaftEntry& RaftStorage::At(uint64_t index) const {
-  FREEWAY_DCHECK(index >= 1 && index <= entries_.size())
-      << "raft log index " << index << " out of range (last "
-      << entries_.size() << ")";
-  return entries_[index - 1];
+RaftEntry RaftStorage::At(uint64_t index) const {
+  FREEWAY_DCHECK(index >= 1 && index <= last_index_)
+      << "raft log index " << index << " out of range (last " << last_index_
+      << ")";
+  if (index < first_resident()) return ReadBack(index);
+  return resident_[index - first_resident()];
+}
+
+RaftEntry RaftStorage::ReadBack(uint64_t index) const {
+  FREEWAY_DCHECK(false) << "raft log entry " << index
+                        << " is not resident and this storage cannot "
+                           "read it back";
+  return RaftEntry{};
 }
 
 std::vector<RaftEntry> RaftStorage::EntriesFrom(uint64_t from,
                                                 size_t max_count) const {
   std::vector<RaftEntry> out;
   if (from == 0) from = 1;
-  for (uint64_t i = from; i <= last_index() && out.size() < max_count; ++i) {
-    out.push_back(entries_[i - 1]);
+  for (uint64_t i = from; i <= last_index_ && out.size() < max_count; ++i) {
+    out.push_back(At(i));
   }
   return out;
 }
 
-Status RaftStorage::Append(const std::vector<RaftEntry>& entries) {
-  for (const RaftEntry& e : entries) {
-    if (e.index != last_index() + 1) {
+Status RaftStorage::Append(std::vector<RaftEntry> entries) {
+  for (RaftEntry& e : entries) {
+    if (e.index != last_index_ + 1) {
       return Status::InvalidArgument("raft log append not dense: index " +
                                      std::to_string(e.index) + " after " +
-                                     std::to_string(last_index()));
+                                     std::to_string(last_index_));
     }
-    entries_.push_back(e);
-    Status st = PersistAppend(e);
-    if (!st.ok()) {
-      entries_.pop_back();
-      return st;
-    }
+    RETURN_IF_ERROR(PersistAppend(e));
+    ExtendTo(e.index, e.term);
+    resident_.push_back(std::move(e));
   }
   return Status::OK();
 }
 
 Status RaftStorage::TruncateSuffix(uint64_t from_index) {
-  if (from_index > last_index()) return Status::OK();
+  if (from_index > last_index_) return Status::OK();
   if (from_index == 0) from_index = 1;
   RETURN_IF_ERROR(PersistTruncateSuffix(from_index));
-  entries_.resize(from_index - 1);
+  const uint64_t kept = from_index - 1;
+  const uint64_t first = first_resident();
+  resident_.resize(kept >= first ? kept - first + 1 : 0);
+  while (!term_runs_.empty() && term_runs_.back().first > kept) {
+    term_runs_.pop_back();
+  }
+  last_index_ = kept;
   return Status::OK();
+}
+
+void RaftStorage::ExtendTo(uint64_t index, uint64_t term) {
+  if (term_runs_.empty() || term_runs_.back().second != term) {
+    term_runs_.emplace_back(index, term);
+  }
+  last_index_ = index;
 }
 
 // ---------------------------------------------------------------------------
@@ -128,7 +153,16 @@ Status RaftNode::Tick() {
   if (role_ == RaftRole::kLeader) {
     if (++heartbeat_elapsed_ >= config_.heartbeat_ticks) {
       heartbeat_elapsed_ = 0;
-      BroadcastAppends();
+      heartbeat_due_ = true;
+      for (auto& [peer, p] : progress_) {
+        // Entries in flight at the previous heartbeat and still not one of
+        // them acknowledged: they (or their responses) were lost.
+        const bool stalled =
+            p.match == p.heartbeat_match && p.heartbeat_next > p.match + 1;
+        p.heartbeat_match = p.match;
+        p.heartbeat_next = p.next;
+        if (stalled) p.next = p.match + 1;
+      }
     }
     return Status::OK();
   }
@@ -177,11 +211,11 @@ Status RaftNode::BecomeLeader() {
   role_ = RaftRole::kLeader;
   leader_id_ = config_.node_id;
   heartbeat_elapsed_ = 0;
-  next_index_.clear();
-  match_index_.clear();
+  progress_.clear();
   for (uint64_t peer : config_.peer_ids) {
-    next_index_[peer] = storage_->last_index() + 1;
-    match_index_[peer] = 0;
+    Progress& p = progress_[peer];
+    p.next = storage_->last_index() + 1;
+    p.heartbeat_next = p.next;
   }
   FREEWAY_LOG(kInfo) << "raft node " << config_.node_id
                      << " elected leader for term "
@@ -192,26 +226,25 @@ Status RaftNode::BecomeLeader() {
   RaftEntry noop;
   noop.index = storage_->last_index() + 1;
   noop.term = storage_->current_term();
-  RETURN_IF_ERROR(storage_->Append({noop}));
+  std::vector<RaftEntry> entries;
+  entries.push_back(std::move(noop));
+  RETURN_IF_ERROR(storage_->Append(std::move(entries)));
   MaybeAdvanceCommit();  // single-node: commit immediately
-  BroadcastAppends();
+  heartbeat_due_ = true;  // announce the new term at once
   return Status::OK();
 }
 
-void RaftNode::BroadcastAppends() {
-  for (uint64_t peer : config_.peer_ids) SendAppend(peer);
-}
-
-void RaftNode::SendAppend(uint64_t peer) {
-  uint64_t next = next_index_.count(peer) ? next_index_[peer] : 1;
-  if (next == 0) next = 1;
+void RaftNode::SendAppend(uint64_t peer, Progress& p) {
   RaftMessage msg;
   msg.type = RaftMessageType::kAppendEntries;
   msg.to = peer;
-  msg.prev_log_index = next - 1;
-  msg.prev_log_term = storage_->TermAt(next - 1);
+  msg.prev_log_index = p.next - 1;
+  msg.prev_log_term = storage_->TermAt(p.next - 1);
   msg.leader_commit = commit_index_;
-  msg.entries = storage_->EntriesFrom(next, config_.max_entries_per_append);
+  msg.entries = storage_->EntriesFrom(p.next, config_.max_entries_per_append);
+  // Optimistic: the entries count as in flight from here on. If they are
+  // lost, a rejection or the heartbeat stall rule rewinds `next`.
+  p.next += msg.entries.size();
   Emit(std::move(msg));
 }
 
@@ -224,14 +257,14 @@ Result<uint64_t> RaftNode::Propose(std::vector<char> command) {
   entry.term = storage_->current_term();
   entry.command = std::move(command);
   uint64_t index = entry.index;
-  RETURN_IF_ERROR(storage_->Append({std::move(entry)}));
+  std::vector<RaftEntry> entries;
+  entries.push_back(std::move(entry));
+  RETURN_IF_ERROR(storage_->Append(std::move(entries)));
   MaybeAdvanceCommit();  // single-node cluster commits on append
-  BroadcastAppends();
-  heartbeat_elapsed_ = 0;  // the broadcast doubles as a heartbeat
-  return index;
+  return index;  // shipped by the next TakeMessages()
 }
 
-Status RaftNode::Step(const RaftMessage& msg) {
+Status RaftNode::Step(RaftMessage msg) {
   // A higher term always demotes; the message is then handled in it.
   if (msg.term > storage_->current_term()) {
     uint64_t leader =
@@ -297,7 +330,7 @@ Status RaftNode::HandleVoteResponse(const RaftMessage& msg) {
   return Status::OK();
 }
 
-Status RaftNode::HandleAppendEntries(const RaftMessage& msg) {
+Status RaftNode::HandleAppendEntries(RaftMessage& msg) {
   RaftMessage reply;
   reply.type = RaftMessageType::kAppendResponse;
   reply.to = msg.from;
@@ -336,8 +369,9 @@ Status RaftNode::HandleAppendEntries(const RaftMessage& msg) {
   // Entries we already hold with the same term are skipped (duplicate or
   // reordered AppendEntries must be idempotent).
   uint64_t last_new = msg.prev_log_index;
-  for (const RaftEntry& e : msg.entries) {
-    if (e.index <= storage_->last_index()) {
+  std::vector<RaftEntry> fresh;
+  for (RaftEntry& e : msg.entries) {
+    if (fresh.empty() && e.index <= storage_->last_index()) {
       if (storage_->TermAt(e.index) == e.term) {
         last_new = e.index;
         continue;
@@ -346,9 +380,10 @@ Status RaftNode::HandleAppendEntries(const RaftMessage& msg) {
       // Leader Completeness), so the cut is always above commit_index_.
       RETURN_IF_ERROR(storage_->TruncateSuffix(e.index));
     }
-    RETURN_IF_ERROR(storage_->Append({e}));
     last_new = e.index;
+    fresh.push_back(std::move(e));
   }
+  RETURN_IF_ERROR(storage_->Append(std::move(fresh)));
   if (msg.leader_commit > commit_index_) {
     commit_index_ = std::min(msg.leader_commit, last_new);
     DeliverCommitted();
@@ -363,25 +398,26 @@ Status RaftNode::HandleAppendResponse(const RaftMessage& msg) {
   if (role_ != RaftRole::kLeader || msg.term < storage_->current_term()) {
     return Status::OK();
   }
+  auto it = progress_.find(msg.from);
+  if (it == progress_.end()) return Status::OK();
+  Progress& p = it->second;
   if (msg.success) {
-    uint64_t& match = match_index_[msg.from];
-    if (msg.match_index > match) match = msg.match_index;
-    next_index_[msg.from] = match + 1;
-    MaybeAdvanceCommit();
-    // Keep shipping if the follower is still behind.
-    if (next_index_[msg.from] <= storage_->last_index()) {
-      SendAppend(msg.from);
+    // Responses may arrive late or out of order: match only grows, and
+    // next never falls back over entries that are still in flight.
+    if (msg.match_index > p.match) {
+      p.match = msg.match_index;
+      MaybeAdvanceCommit();
     }
+    p.next = std::max(p.next, p.match + 1);
     return Status::OK();
   }
-  // Rejected: rewind using the follower's hint and retry immediately.
-  uint64_t next = next_index_.count(msg.from) ? next_index_[msg.from] : 1;
-  uint64_t rewound = next > 1 ? next - 1 : 1;
+  // Rejected: rewind using the follower's hint, never below what it is
+  // known to hold; the next TakeMessages() re-ships from there.
+  uint64_t rewound = p.next > 1 ? p.next - 1 : 1;
   if (msg.conflict_index > 0) {
     rewound = std::min(rewound, msg.conflict_index);
   }
-  next_index_[msg.from] = std::max<uint64_t>(1, rewound);
-  SendAppend(msg.from);
+  p.next = std::max(rewound, p.match + 1);
   return Status::OK();
 }
 
@@ -391,8 +427,8 @@ void RaftNode::MaybeAdvanceCommit() {
     // Only entries of the current term commit by counting (§5.4.2).
     if (storage_->TermAt(n) != storage_->current_term()) break;
     size_t count = 1;  // self
-    for (const auto& [peer, match] : match_index_) {
-      if (match >= n) ++count;
+    for (const auto& [peer, p] : progress_) {
+      if (p.match >= n) ++count;
     }
     if (count >= Majority()) {
       commit_index_ = n;
@@ -410,6 +446,15 @@ void RaftNode::DeliverCommitted() {
 }
 
 std::vector<RaftMessage> RaftNode::TakeMessages() {
+  if (role_ == RaftRole::kLeader) {
+    for (uint64_t peer : config_.peer_ids) {
+      Progress& p = progress_[peer];
+      if (heartbeat_due_ || p.next <= storage_->last_index()) {
+        SendAppend(peer, p);
+      }
+    }
+    heartbeat_due_ = false;
+  }
   std::vector<RaftMessage> out;
   out.swap(outbox_);
   return out;

@@ -2,9 +2,11 @@
 #define FREEWAYML_REPLICATION_RAFT_H_
 
 #include <cstdint>
+#include <deque>
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -73,8 +75,9 @@ const char* RaftRoleName(RaftRole role);
 ///
 /// This base class keeps everything in memory (tests use it directly as a
 /// volatile store); `DurableRaftStorage` overrides the Persist* hooks to
-/// write through to disk. The in-memory copy is always the source of truth
-/// for reads — the hooks only have to make the same data survive a restart.
+/// write through to disk, and may drop the payloads of applied entries
+/// from memory (ReadBack then re-reads them from disk). Terms are kept for
+/// every index, as runs, so TermAt never touches disk.
 /// RaftNode calls SetHardState *before* handing out any message that the
 /// new term/vote made possible, preserving the raft durability contract.
 ///
@@ -91,21 +94,22 @@ class RaftStorage {
   Status SetHardState(uint64_t term, uint64_t voted_for);
 
   /// Index of the last entry; 0 when the log is empty.
-  uint64_t last_index() const {
-    return entries_.empty() ? 0 : entries_.back().index;
-  }
+  uint64_t last_index() const { return last_index_; }
   /// Term of the entry at `index`; 0 for index 0 (the sentinel before the
   /// log) and for indexes past the end.
   uint64_t TermAt(uint64_t index) const;
   /// Entry at `index` (1-based; must be in [1, last_index()]).
-  const RaftEntry& At(uint64_t index) const;
+  RaftEntry At(uint64_t index) const;
   /// Copies entries [from, from+max_count) clamped to the log's end.
   std::vector<RaftEntry> EntriesFrom(uint64_t from, size_t max_count) const;
 
   /// Appends entries (must continue the log densely) and persists them.
-  Status Append(const std::vector<RaftEntry>& entries);
+  Status Append(std::vector<RaftEntry> entries);
   /// Drops every entry with index >= from_index and persists the cut.
   Status TruncateSuffix(uint64_t from_index);
+
+  /// Entries whose payload is held in memory (observability/tests).
+  size_t resident_entries() const { return resident_.size(); }
 
  protected:
   virtual Status PersistHardState() { return Status::OK(); }
@@ -117,11 +121,25 @@ class RaftStorage {
     (void)from_index;
     return Status::OK();
   }
+  /// Re-reads an entry whose payload is not resident. Only a subclass that
+  /// drops payloads can be asked; the base class never does.
+  virtual RaftEntry ReadBack(uint64_t index) const;
+
+  /// Index of the first entry whose payload is in `resident_`.
+  uint64_t first_resident() const {
+    return last_index_ - resident_.size() + 1;
+  }
+  /// Extends the log's extent and term runs by entry `index` (the caller
+  /// keeps or drops its payload).
+  void ExtendTo(uint64_t index, uint64_t term);
 
   uint64_t term_ = 0;
   uint64_t voted_for_ = 0;
-  /// entries_[i] holds index i+1; the vector is always dense from index 1.
-  std::vector<RaftEntry> entries_;
+  uint64_t last_index_ = 0;
+  /// Entries [first_resident(), last_index_], payloads included.
+  std::deque<RaftEntry> resident_;
+  /// (first index, term) of each run of equal-term entries, ascending.
+  std::vector<std::pair<uint64_t, uint64_t>> term_runs_;
 };
 
 /// Configuration of one consensus node.
@@ -138,8 +156,8 @@ struct RaftConfig {
   /// Leader heartbeat cadence in ticks; must be well under the election
   /// minimum or healthy followers start spurious elections.
   int heartbeat_ticks = 3;
-  /// Max entries shipped per AppendEntries, bounding frame sizes while a
-  /// lagging follower catches up.
+  /// Max entries shipped per AppendEntries (and so per peer per
+  /// TakeMessages() drain), bounding frame sizes.
   size_t max_entries_per_append = 64;
   /// Seed for the election-timeout randomization (deterministic tests).
   uint64_t seed = 0;
@@ -165,6 +183,15 @@ struct RaftConfig {
 ///  - AppendEntries conflicts return a first-index-of-conflicting-term hint
 ///    so the leader rewinds a term at a time.
 ///
+/// Replication is pipelined: Propose only appends, and each TakeMessages()
+/// ships every peer one AppendEntries with all entries it has not been
+/// sent yet (up to max_entries_per_append), advancing that peer's
+/// next_index optimistically. A success response never moves next_index
+/// back; a rejection rewinds it to the follower's hint; and a peer that
+/// made no progress for a whole heartbeat interval with entries in flight
+/// is rewound to match_index + 1, so a lost message costs a heartbeat of
+/// latency, never liveness.
+///
 /// FailPoint sites (all prefixed with config.failpoint_scope):
 ///   raft.append — erroring drops an outbound AppendEntries on the floor;
 ///   raft.vote   — erroring drops an inbound VoteRequest (the node goes
@@ -180,14 +207,16 @@ class RaftNode {
   /// an election timeout, the leader toward its next heartbeat round.
   Status Tick();
 
-  /// Processes one inbound message.
-  Status Step(const RaftMessage& msg);
+  /// Processes one inbound message (its entries are moved into the log).
+  Status Step(RaftMessage msg);
 
   /// Appends `command` to the replicated log (leader only) and returns its
   /// index. FailedPrecondition when this node is not the leader.
   Result<uint64_t> Propose(std::vector<char> command);
 
-  /// Drains the outbox of messages to transmit.
+  /// Drains the outbox of messages to transmit. On the leader this is also
+  /// where AppendEntries are built: one per peer that has unsent entries
+  /// or a heartbeat due.
   std::vector<RaftMessage> TakeMessages();
 
   /// Drains newly committed entries, in index order, each exactly once.
@@ -206,6 +235,18 @@ class RaftNode {
   uint64_t elections_started() const { return elections_started_; }
 
  private:
+  /// The leader's view of one follower.
+  struct Progress {
+    /// Next index to ship; past everything already sent.
+    uint64_t next = 1;
+    /// Highest index known to be replicated on the follower.
+    uint64_t match = 0;
+    /// `match` and `next` at the previous heartbeat: the entries in flight
+    /// then, if none was acknowledged since, have been lost.
+    uint64_t heartbeat_match = 0;
+    uint64_t heartbeat_next = 1;
+  };
+
   size_t ClusterSize() const { return config_.peer_ids.size() + 1; }
   size_t Majority() const { return ClusterSize() / 2 + 1; }
 
@@ -213,13 +254,12 @@ class RaftNode {
   Status BecomeFollower(uint64_t term, uint64_t leader);
   Status StartElection();
   Status BecomeLeader();
-  void BroadcastAppends();
-  void SendAppend(uint64_t peer);
+  void SendAppend(uint64_t peer, Progress& progress);
   void MaybeAdvanceCommit();
   void DeliverCommitted();
   Status HandleVoteRequest(const RaftMessage& msg);
   Status HandleVoteResponse(const RaftMessage& msg);
-  Status HandleAppendEntries(const RaftMessage& msg);
+  Status HandleAppendEntries(RaftMessage& msg);
   Status HandleAppendResponse(const RaftMessage& msg);
   void Emit(RaftMessage msg);
 
@@ -236,11 +276,12 @@ class RaftNode {
   int election_elapsed_ = 0;
   int election_timeout_ = 0;
   int heartbeat_elapsed_ = 0;
+  /// Every peer gets an AppendEntries at the next TakeMessages().
+  bool heartbeat_due_ = false;
 
   std::set<uint64_t> votes_granted_;
   /// Leader bookkeeping, keyed by peer id.
-  std::unordered_map<uint64_t, uint64_t> next_index_;
-  std::unordered_map<uint64_t, uint64_t> match_index_;
+  std::unordered_map<uint64_t, Progress> progress_;
 
   std::vector<RaftMessage> outbox_;
   std::vector<RaftEntry> committed_out_;

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -65,6 +66,19 @@ Status WriteAll(int fd, const char* data, size_t size,
     written += static_cast<size_t>(n);
   }
   return Status::OK();
+}
+
+/// pread of exactly `size` bytes at `offset`; false on error or short read.
+bool ReadAt(int fd, char* data, size_t size, uint64_t offset) {
+  size_t got = 0;
+  while (got < size) {
+    const ssize_t n = ::pread(fd, data + got, size - got,
+                              static_cast<off_t>(offset + got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    got += static_cast<size_t>(n);
+  }
+  return true;
 }
 
 Status FsyncFd(int fd, const std::string& path) {
@@ -226,7 +240,9 @@ Status DurableRaftStorage::LoadLog() {
   if (ec) {
     return Status::IoError("raft: stat log " + path + ": " + ec.message());
   }
-  entries_.clear();
+  resident_.clear();
+  term_runs_.clear();
+  last_index_ = 0;
   entry_offsets_.clear();
 
   if (file_size == 0) {
@@ -243,23 +259,13 @@ Status DurableRaftStorage::LoadLog() {
   if (file_size < kLogHeaderBytes) {
     return Status::IoError("raft: log " + path + " shorter than its header");
   }
-  std::vector<char> bytes(file_size);
-  size_t got = 0;
-  while (got < bytes.size()) {
-    ssize_t n = ::read(fd.get(), bytes.data() + got, bytes.size() - got);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(ErrnoMessage("raft: read log", path));
-    }
-    if (n == 0) break;
-    got += static_cast<size_t>(n);
-  }
-  if (got != bytes.size()) {
-    return Status::IoError("raft: short read of log " + path);
+  char header[kLogHeaderBytes];
+  if (!ReadAt(fd.get(), header, sizeof(header), 0)) {
+    return Status::IoError(ErrnoMessage("raft: read log", path));
   }
   uint32_t magic, version;
-  std::memcpy(&magic, bytes.data(), 4);
-  std::memcpy(&version, bytes.data() + 4, 4);
+  std::memcpy(&magic, header, 4);
+  std::memcpy(&version, header + 4, 4);
   if (magic != kLogMagic) {
     return Status::IoError("raft: log " + path + " bad magic");
   }
@@ -267,29 +273,40 @@ Status DurableRaftStorage::LoadLog() {
     return Status::IoError("raft: log " + path + " unsupported version " +
                            std::to_string(version));
   }
-  // Scan records; the first invalid one is a torn tail — truncate there.
-  size_t offset = kLogHeaderBytes;
+  // Scan records one at a time, keeping only terms and offsets (payloads
+  // are read back on demand); the first invalid record is a torn tail —
+  // truncate there.
+  uint64_t offset = kLogHeaderBytes;
   entry_offsets_.push_back(offset);
-  while (offset + kRecordHeaderBytes <= bytes.size()) {
+  std::vector<char> payload;
+  while (offset + kRecordHeaderBytes <= file_size) {
+    char record_header[kRecordHeaderBytes];
+    if (!ReadAt(fd.get(), record_header, kRecordHeaderBytes, offset)) {
+      return Status::IoError(ErrnoMessage("raft: read log", path));
+    }
     uint32_t payload_size, crc;
-    std::memcpy(&payload_size, bytes.data() + offset, 4);
-    std::memcpy(&crc, bytes.data() + offset + 4, 4);
+    std::memcpy(&payload_size, record_header, 4);
+    std::memcpy(&crc, record_header + 4, 4);
     if (payload_size == 0 || payload_size > kMaxEntryPayload ||
-        offset + kRecordHeaderBytes + payload_size > bytes.size()) {
+        offset + kRecordHeaderBytes + payload_size > file_size) {
       break;  // torn
     }
-    const char* payload = bytes.data() + offset + kRecordHeaderBytes;
-    if (Crc32(payload, payload_size) != crc) break;  // torn
+    payload.resize(payload_size);
+    if (!ReadAt(fd.get(), payload.data(), payload_size,
+                offset + kRecordHeaderBytes)) {
+      return Status::IoError(ErrnoMessage("raft: read log", path));
+    }
+    if (Crc32(payload.data(), payload_size) != crc) break;  // torn
     RaftEntry entry;
-    Status parsed = DecodeEntryPayload(payload, payload_size, &entry);
+    Status parsed = DecodeEntryPayload(payload.data(), payload_size, &entry);
     if (!parsed.ok()) break;  // torn
-    if (entry.index != entries_.size() + 1) {
+    if (entry.index != last_index_ + 1) {
       return Status::IoError("raft: log " + path + " entry index " +
                              std::to_string(entry.index) +
                              " breaks density at position " +
-                             std::to_string(entries_.size() + 1));
+                             std::to_string(last_index_ + 1));
     }
-    entries_.push_back(std::move(entry));
+    ExtendTo(entry.index, entry.term);
     offset += kRecordHeaderBytes + payload_size;
     entry_offsets_.push_back(offset);
   }
@@ -306,6 +323,41 @@ Status DurableRaftStorage::LoadLog() {
   }
   log_fd_ = fd.Release();
   return Status::OK();
+}
+
+RaftEntry DurableRaftStorage::ReadBack(uint64_t index) const {
+  FREEWAY_DCHECK(index >= 1 && index < entry_offsets_.size())
+      << "raft read-back index " << index << " out of range";
+  const uint64_t offset = entry_offsets_[index - 1];
+  const size_t record_size =
+      static_cast<size_t>(entry_offsets_[index] - offset);
+  std::vector<char> record(record_size);
+  RaftEntry entry;
+  // Every byte here passed its CRC on append or at Open(); failing now
+  // means the file changed under a live node, and it cannot serve its log.
+  const bool read = ReadAt(log_fd_, record.data(), record_size, offset);
+  FREEWAY_DCHECK(read) << "raft: read-back of entry " << index
+                       << " failed: " << std::strerror(errno);
+  uint32_t crc;
+  std::memcpy(&crc, record.data() + 4, 4);
+  const char* payload = record.data() + kRecordHeaderBytes;
+  const size_t payload_size = record_size - kRecordHeaderBytes;
+  const bool intact =
+      Crc32(payload, payload_size) == crc &&
+      DecodeEntryPayload(payload, payload_size, &entry).ok() &&
+      entry.index == index;
+  FREEWAY_DCHECK(intact) << "raft: entry " << index
+                         << " is corrupt on read-back";
+  return entry;
+}
+
+void DurableRaftStorage::ReleaseThrough(uint64_t applied) {
+  const uint64_t through = std::min(applied, last_index_);
+  if (through <= release_floor_) return;
+  release_floor_ = through;
+  while (!resident_.empty() && resident_.front().index <= through) {
+    resident_.pop_front();
+  }
 }
 
 Status DurableRaftStorage::PersistAppend(const RaftEntry& entry) {
@@ -332,6 +384,9 @@ Status DurableRaftStorage::PersistTruncateSuffix(uint64_t from_index) {
       (fs::path(options_.directory) / "raft-log.dat").string();
   FREEWAY_DCHECK(from_index >= 1 && from_index <= entry_offsets_.size())
       << "raft truncate index " << from_index << " out of range";
+  FREEWAY_DCHECK(from_index > release_floor_)
+      << "raft truncate at " << from_index << " would cut applied entries "
+      << "(applied through " << release_floor_ << ")";
   const uint64_t offset = entry_offsets_[from_index - 1];
   if (::ftruncate(log_fd_, static_cast<off_t>(offset)) != 0) {
     return Status::IoError(ErrnoMessage("raft: truncate log", path));

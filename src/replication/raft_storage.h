@@ -43,6 +43,14 @@ struct DurableRaftStorageOptions {
 /// proportional to total committed traffic. Compaction via learner
 /// snapshots is an explicit non-goal of this revision (see DESIGN.md).
 ///
+/// Memory holds only the payloads of entries not yet applied here:
+/// ReleaseThrough(applied) drops the rest, and Open() loads none (a
+/// restart re-applies from disk). Terms and record offsets stay in memory
+/// for every entry, so a released entry is one pread away — which is how
+/// the leader catches up a lagging follower. Committed entries are never
+/// truncated, so cutting at or below the release floor is a fatal
+/// invariant violation.
+///
 /// Not internally synchronized: RaftNode drives it from one thread (the
 /// replicator's driver thread).
 class DurableRaftStorage : public RaftStorage {
@@ -60,10 +68,15 @@ class DurableRaftStorage : public RaftStorage {
   /// Bytes cut from a torn tail by Open() (observability/tests).
   uint64_t torn_bytes_truncated() const { return torn_bytes_truncated_; }
 
+  /// Drops the in-memory payloads of entries through `applied` (clamped to
+  /// the log's end); they stay readable from disk.
+  void ReleaseThrough(uint64_t applied);
+
  protected:
   Status PersistHardState() override;
   Status PersistAppend(const RaftEntry& entry) override;
   Status PersistTruncateSuffix(uint64_t from_index) override;
+  RaftEntry ReadBack(uint64_t index) const override;
 
  private:
   Status LoadHardState();
@@ -76,6 +89,9 @@ class DurableRaftStorage : public RaftStorage {
   /// goes at entry_offsets_.back() (always size()+1 elements once open).
   std::vector<uint64_t> entry_offsets_;
   uint64_t torn_bytes_truncated_ = 0;
+  /// Highest index released: entries through it have been applied, hence
+  /// committed, and must never be truncated.
+  uint64_t release_floor_ = 0;
 };
 
 }  // namespace freeway

@@ -52,6 +52,7 @@ Replicator::Replicator(ReplicationOptions options, ApplyFn apply, AckFn ack)
     metric_messages_in_ =
         m.GetCounter("freeway_raft_messages_total{dir=\"in\"}");
     metric_messages_dropped_ = m.GetCounter("freeway_raft_messages_dropped_total");
+    metric_entries_sent_ = m.GetCounter("freeway_raft_entries_sent_total");
     metric_commit_seconds_ = m.GetHistogram("freeway_raft_commit_seconds");
     metric_propose_seconds_ = m.GetHistogram("freeway_raft_append_seconds");
   }
@@ -217,7 +218,7 @@ Status Replicator::ProposeCommand(const ReplicatedCommand& command) {
   return Status::OK();
 }
 
-void Replicator::Deliver(const RaftMessage& message) {
+void Replicator::Deliver(RaftMessage message) {
   if (!failpoint::Check(options_.failpoint_scope + "repl.recv").ok()) {
     if (metric_messages_dropped_ != nullptr) {
       metric_messages_dropped_->Inc();
@@ -227,7 +228,7 @@ void Replicator::Deliver(const RaftMessage& message) {
   if (metric_messages_in_ != nullptr) metric_messages_in_->Inc();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    inbox_.push_back(message);
+    inbox_.push_back(std::move(message));
   }
   cv_.notify_all();
 }
@@ -252,8 +253,8 @@ void Replicator::DriverLoop() {
       if (stop_.load(std::memory_order_acquire)) return;
       inbox.swap(inbox_);
     }
-    for (const RaftMessage& message : inbox) {
-      Status status = node_->Step(message);
+    for (RaftMessage& message : inbox) {
+      Status status = node_->Step(std::move(message));
       if (!status.ok()) {
         FREEWAY_LOG(kWarning) << "raft step failed on node "
                               << options_.node_id << ": " << status.message();
@@ -281,6 +282,9 @@ void Replicator::DriverLoop() {
     }
     previous_role = current_role;
     DrainProposals();
+    // Publish before the applier can see the newly committed entries, so
+    // that no reader ever observes applied_index() > commit_index().
+    PublishCaches();
     std::vector<RaftEntry> committed = node_->TakeCommitted();
     if (!committed.empty()) {
       {
@@ -293,7 +297,8 @@ void Replicator::DriverLoop() {
     }
     ShipMessages();
     FlushLinks();
-    PublishCaches();
+    // Applied payloads are on disk; only unapplied ones stay in memory.
+    storage_->ReleaseThrough(applied_index_.load(std::memory_order_acquire));
   }
 }
 
@@ -352,7 +357,10 @@ void Replicator::ShipMessages() {
       continue;
     }
     link->outbuf.insert(link->outbuf.end(), frame.begin(), frame.end());
-    if (metric_messages_out_ != nullptr) metric_messages_out_->Inc();
+    if (metric_messages_out_ != nullptr) {
+      metric_messages_out_->Inc();
+      metric_entries_sent_->Inc(message.entries.size());
+    }
   }
 }
 

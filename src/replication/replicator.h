@@ -187,8 +187,9 @@ class Replicator {
   /// only; no ack token.
   Status ProposeCommand(const ReplicatedCommand& command);
 
-  /// Hands in one decoded inbound raft frame (reactor workers).
-  void Deliver(const RaftMessage& message);
+  /// Hands in one decoded inbound raft frame (reactor workers); its
+  /// entries are moved, not copied, through to the raft log.
+  void Deliver(RaftMessage message);
 
   /// Cluster-wide dead letters applied so far (kDeadLetter commands), on
   /// leader and followers alike.
@@ -289,6 +290,9 @@ class Replicator {
   Counter* metric_messages_out_ = nullptr;
   Counter* metric_messages_in_ = nullptr;
   Counter* metric_messages_dropped_ = nullptr;
+  /// Entries put on peer links, counted once per AppendEntries carrying
+  /// them: divided by committed entries and peers it is the re-send factor.
+  Counter* metric_entries_sent_ = nullptr;
   Histogram* metric_commit_seconds_ = nullptr;
   Histogram* metric_propose_seconds_ = nullptr;
 };

@@ -195,6 +195,12 @@ class BoundedQueue {
 
   size_t capacity() const { return capacity_; }
 
+  /// Producers currently parked in a push, waiting for space.
+  size_t blocked_producers() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return blocked_producers_;
+  }
+
   bool closed() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return closed_;
@@ -207,8 +213,10 @@ class BoundedQueue {
     PushResult result;
     if (items_.size() >= capacity_ && !closed_) {
       Stopwatch blocked;
+      ++blocked_producers_;
       space_available_.wait(
           lock, [this] { return items_.size() < capacity_ || closed_; });
+      --blocked_producers_;
       result.blocked_micros = blocked.ElapsedMicros();
     }
     if (closed_) return result;
@@ -228,6 +236,7 @@ class BoundedQueue {
   std::condition_variable idle_;
   std::deque<T> items_;
   size_t high_water_ = 0;
+  size_t blocked_producers_ = 0;
   bool consumer_active_ = false;
   bool closed_ = false;
 };

@@ -55,14 +55,15 @@ TEST(BoundedQueueTest, PushBlocksOnFullUntilPop) {
     third_done.store(true);
   });
 
-  // Give the producer time to park on the full queue.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Wait until the producer is parked on the full queue.
+  while (queue.blocked_producers() == 0) std::this_thread::yield();
   EXPECT_FALSE(third_done.load());
 
   int out = 0;
   ASSERT_TRUE(queue.Pop(&out));  // Frees one slot.
   producer.join();
   EXPECT_TRUE(third_done.load());
+  EXPECT_EQ(queue.blocked_producers(), 0u);
   EXPECT_GT(blocked_micros, 0);
   EXPECT_EQ(queue.size(), 2u);
 }

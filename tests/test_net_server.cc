@@ -404,6 +404,81 @@ TEST_F(NetServerTest, MalformedSubmitGetsErrorReplyAndConnectionSurvives) {
   EXPECT_GE(CounterValue("freeway_net_decode_errors_total"), 1u);
 }
 
+/// Next frame on a raw socket, or NotFound when none arrives in time.
+Result<Frame> ReadFrame(int fd, FrameDecoder& decoder, int64_t timeout_millis) {
+  char chunk[4096];
+  while (true) {
+    Result<Frame> next = decoder.Next();
+    if (next.ok()) return next;
+    if (!net::WaitReadable(fd, timeout_millis).ok()) {
+      return Status::NotFound("no frame within the timeout");
+    }
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return Status::IoError("connection closed");
+    decoder.Feed(chunk, static_cast<size_t>(n));
+  }
+}
+
+TEST_F(NetServerTest, ResultOfClosedConnectionNeverReachesItsFdReuser) {
+  ServerOptions opts;
+  opts.runtime = FastRuntime();
+  opts.runtime.num_shards = 1;
+  // No drain tasks: a batch's RESULT exists only once the test pumps.
+  opts.runtime.schedule_workers = false;
+  StartServer(opts);
+  HyperplaneSource source = MakeSource(29);
+  auto wait_for = [this](const std::string& counter, uint64_t value) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (CounterValue(counter) < value) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << counter;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+
+  // Client A submits an unlabeled batch and hangs up after its ACK,
+  // before the RESULT exists.
+  Result<int> a = net::ConnectSocket("127.0.0.1", server_->port(), 2000);
+  ASSERT_TRUE(a.ok()) << a.status();
+  SubmitMessage mine;
+  mine.stream_id = 7;
+  mine.batch = NextBatch(source, false);
+  std::vector<char> frame = EncodeSubmit(mine);
+  ASSERT_TRUE(net::SendAll(*a, frame.data(), frame.size()).ok());
+  FrameDecoder a_decoder;
+  Result<Frame> ack = ReadFrame(*a, a_decoder, 2000);
+  ASSERT_TRUE(ack.ok()) << ack.status();
+  ASSERT_EQ(ack->type, FrameType::kAck);
+  net::CloseFd(*a);
+  wait_for("freeway_net_connections_total{event=\"closed\"}", 1);
+
+  // Client B connects — the kernel hands out the lowest free fd numbers,
+  // so the server's side of B reuses A's — and submits on its own stream.
+  Result<int> b = net::ConnectSocket("127.0.0.1", server_->port(), 2000);
+  ASSERT_TRUE(b.ok()) << b.status();
+  SubmitMessage theirs;
+  theirs.stream_id = 8;
+  theirs.batch = NextBatch(source, true);
+  frame = EncodeSubmit(theirs);
+  ASSERT_TRUE(net::SendAll(*b, frame.data(), frame.size()).ok());
+  FrameDecoder b_decoder;
+  ack = ReadFrame(*b, b_decoder, 2000);
+  ASSERT_TRUE(ack.ok()) << ack.status();
+  ASSERT_EQ(ack->type, FrameType::kAck);
+
+  // A's RESULT now exists. Its connection is gone, so it is dropped; it
+  // must not be written to B.
+  EXPECT_EQ(server_->runtime()->PumpShard(0), 2u);
+  wait_for("freeway_net_results_dropped_total", 1);
+  Result<Frame> stray = ReadFrame(*b, b_decoder, 200);
+  EXPECT_FALSE(stray.ok()) << "B received a "
+                           << FrameTypeName(stray->type)
+                           << " frame meant for A";
+  net::CloseFd(*b);
+  server_->Stop();
+  EXPECT_EQ(CounterValue("freeway_net_results_total"), 0u);
+}
+
 /// ---- Multi-reactor (num_workers > 1) coverage ----
 
 class MultiWorkerServerTest : public NetServerTest {

@@ -43,6 +43,7 @@ class Cluster {
       config.election_timeout_max_ticks = 20;
       config.heartbeat_ticks = 2;
       config.seed = seed;
+      config.failpoint_scope = "c" + std::to_string(i + 1) + ".";
       nodes_.push_back(
           std::make_unique<RaftNode>(config, storages_[i].get()));
     }
@@ -71,6 +72,20 @@ class Cluster {
         }
       }
     }
+  }
+
+  /// Steps each message on its destination and returns what those nodes
+  /// send in reply (one hop, no further delivery).
+  std::vector<RaftMessage> Hop(const std::vector<RaftMessage>& messages) {
+    std::vector<RaftMessage> replies;
+    for (const RaftMessage& msg : messages) {
+      RaftNode& target = *nodes_[msg.to - 1];
+      EXPECT_TRUE(target.Step(msg).ok());
+      for (RaftMessage& reply : target.TakeMessages()) {
+        replies.push_back(std::move(reply));
+      }
+    }
+    return replies;
   }
 
   void TickAll() {
@@ -392,6 +407,136 @@ TEST(RaftChaos, VoteFailpointMakesNodeDeafToElections) {
 }
 
 // ---------------------------------------------------------------------------
+// Pipelined replication
+
+/// AppendEntries in `messages`, keyed by destination.
+std::map<uint64_t, std::vector<RaftMessage>> AppendsByPeer(
+    const std::vector<RaftMessage>& messages) {
+  std::map<uint64_t, std::vector<RaftMessage>> by_peer;
+  for (const RaftMessage& msg : messages) {
+    if (msg.type == RaftMessageType::kAppendEntries) {
+      by_peer[msg.to].push_back(msg);
+    }
+  }
+  return by_peer;
+}
+
+TEST(RaftPipelining, QueuedProposalsShipInOneAppendPerPeer) {
+  Cluster cluster(3);
+  RaftNode* leader = cluster.ElectLeader();
+  ASSERT_NE(leader, nullptr);
+  const uint64_t first = leader->last_log_index() + 1;
+  for (int k = 0; k < 64; ++k) {
+    ASSERT_TRUE(leader->Propose(Cmd("p" + std::to_string(k))).ok());
+  }
+  // A per-proposal broadcast would ship sum(min(k, 64)) = 2080 entries to
+  // each peer here; one drain ships each of the 64 exactly once.
+  const std::vector<RaftMessage> out = leader->TakeMessages();
+  const auto by_peer = AppendsByPeer(out);
+  ASSERT_EQ(out.size(), 2u);
+  ASSERT_EQ(by_peer.size(), 2u);
+  for (const auto& [peer, appends] : by_peer) {
+    ASSERT_EQ(appends.size(), 1u) << "peer " << peer;
+    const RaftMessage& append = appends[0];
+    EXPECT_EQ(append.prev_log_index, first - 1);
+    ASSERT_EQ(append.entries.size(), 64u);
+    EXPECT_EQ(append.entries.front().index, first);
+    EXPECT_EQ(append.entries.back().index, first + 63);
+  }
+  // Nothing is left to ship until a response or a heartbeat.
+  EXPECT_TRUE(leader->TakeMessages().empty());
+
+  cluster.Hop(cluster.Hop(out));  // followers append; leader takes acks
+  EXPECT_EQ(leader->commit_index(), first + 63);
+}
+
+TEST(RaftPipelining, SuccessResponsesNeverReShipInFlightEntries) {
+  Cluster cluster(3);
+  RaftNode* leader = cluster.ElectLeader();
+  ASSERT_NE(leader, nullptr);
+  for (int k = 0; k < 10; ++k) ASSERT_TRUE(leader->Propose(Cmd("a")).ok());
+  const std::vector<RaftMessage> wave1 = leader->TakeMessages();
+  for (int k = 0; k < 10; ++k) ASSERT_TRUE(leader->Propose(Cmd("b")).ok());
+  const std::vector<RaftMessage> wave2 = leader->TakeMessages();
+  ASSERT_EQ(wave1.size(), 2u);
+  ASSERT_EQ(wave2.size(), 2u);
+  for (const RaftMessage& msg : wave2) {
+    // The second wave starts where the first ended: no overlap.
+    EXPECT_EQ(msg.prev_log_index, wave1[0].entries.back().index);
+    EXPECT_EQ(msg.entries.size(), 10u);
+  }
+  // Both waves reach the followers; their acks come back, the first
+  // wave's while the second is still unacknowledged.
+  const std::vector<RaftMessage> acks1 = cluster.Hop(wave1);
+  const std::vector<RaftMessage> acks2 = cluster.Hop(wave2);
+  ASSERT_TRUE(leader != nullptr);
+  for (const RaftMessage& ack : acks1) ASSERT_TRUE(leader->Step(ack).ok());
+  EXPECT_TRUE(AppendsByPeer(leader->TakeMessages()).empty())
+      << "an ack re-shipped entries that were still in flight";
+  // Out of order: the newer ack, then the older one again.
+  for (const RaftMessage& ack : acks2) ASSERT_TRUE(leader->Step(ack).ok());
+  for (const RaftMessage& ack : acks1) ASSERT_TRUE(leader->Step(ack).ok());
+  EXPECT_TRUE(AppendsByPeer(leader->TakeMessages()).empty())
+      << "a stale ack moved next_index backwards";
+  EXPECT_EQ(leader->commit_index(), leader->last_log_index());
+}
+
+/// Ticks only `node` until its next heartbeat round is due.
+void TickToHeartbeat(RaftNode& node) {
+  for (int t = 0; t < 2; ++t) ASSERT_TRUE(node.Tick().ok());
+}
+
+TEST(RaftPipelining, DroppedAppendIsReShippedAfterOneHeartbeat) {
+  failpoint::DisarmAll();
+  Cluster cluster(3);
+  RaftNode* leader = cluster.ElectLeader();
+  ASSERT_NE(leader, nullptr);
+  const std::string site =
+      "c" + std::to_string(leader->node_id()) + ".raft.append";
+  // Both peers' copies of the entry vanish in the network.
+  failpoint::Arm(site, {StatusCode::kUnavailable, "chaos", 0, 2});
+  auto index = leader->Propose(Cmd("lost-once"));
+  ASSERT_TRUE(index.ok());
+  cluster.Deliver();
+  EXPECT_LT(leader->commit_index(), *index);
+
+  // The heartbeat anchors at the optimistic next index; the followers
+  // reject it, and the rewind re-ships the entry at once.
+  TickToHeartbeat(*leader);
+  cluster.Deliver();
+  EXPECT_EQ(leader->commit_index(), *index);
+  failpoint::DisarmAll();
+}
+
+TEST(RaftPipelining, PeerWithoutProgressForAHeartbeatIsRewound) {
+  failpoint::DisarmAll();
+  Cluster cluster(3);
+  RaftNode* leader = cluster.ElectLeader();
+  ASSERT_NE(leader, nullptr);
+  const uint64_t match = leader->last_log_index();
+  const std::string site =
+      "c" + std::to_string(leader->node_id()) + ".raft.append";
+  // The entry's appends and the next heartbeat round are all lost.
+  failpoint::Arm(site, {StatusCode::kUnavailable, "chaos", 0, 4});
+  ASSERT_TRUE(leader->Propose(Cmd("x")).ok());
+  EXPECT_TRUE(leader->TakeMessages().empty());
+  TickToHeartbeat(*leader);
+  EXPECT_TRUE(leader->TakeMessages().empty());
+  // A whole heartbeat interval without progress: the next round rewinds
+  // to match + 1 and carries the lost entry itself.
+  TickToHeartbeat(*leader);
+  const auto by_peer = AppendsByPeer(leader->TakeMessages());
+  ASSERT_EQ(by_peer.size(), 2u);
+  for (const auto& [peer, appends] : by_peer) {
+    ASSERT_EQ(appends.size(), 1u);
+    EXPECT_EQ(appends[0].prev_log_index, match) << "peer " << peer;
+    ASSERT_EQ(appends[0].entries.size(), 1u) << "peer " << peer;
+    EXPECT_EQ(CmdStr(appends[0].entries[0]), "x");
+  }
+  failpoint::DisarmAll();
+}
+
+// ---------------------------------------------------------------------------
 // DurableRaftStorage
 
 class DurableRaftStorageTest : public ::testing::Test {
@@ -547,6 +692,87 @@ TEST_F(DurableRaftStorageTest, NodeRestartKeepsVoteAndLog) {
   auto committed = node.TakeCommitted();
   ASSERT_EQ(committed.size(), 3u);  // old no-op, "durable", new no-op
   EXPECT_EQ(CmdStr(committed[1]), "durable");
+}
+
+TEST_F(DurableRaftStorageTest, ReleasedEntriesReadBackBitIdentical) {
+  std::vector<RaftEntry> written;
+  for (uint64_t i = 1; i <= 40; ++i) {
+    RaftEntry e;
+    e.index = i;
+    e.term = 1 + i / 16;
+    e.command.resize(i % 7 == 0 ? 0 : 100 + 37 * i);
+    for (size_t b = 0; b < e.command.size(); ++b) {
+      e.command[b] = static_cast<char>((i * 131 + b * 7) & 0xFF);
+    }
+    written.push_back(e);
+  }
+  auto expect_all = [&](const RaftStorage& storage, const char* when) {
+    ASSERT_EQ(storage.last_index(), written.size()) << when;
+    for (const RaftEntry& e : written) {
+      const RaftEntry got = storage.At(e.index);
+      EXPECT_EQ(got.index, e.index) << when;
+      EXPECT_EQ(got.term, e.term) << when;
+      EXPECT_EQ(storage.TermAt(e.index), e.term) << when;
+      EXPECT_EQ(got.command, e.command) << when << ", entry " << e.index;
+    }
+    const std::vector<RaftEntry> range = storage.EntriesFrom(20, 64);
+    ASSERT_EQ(range.size(), written.size() - 19) << when;
+    for (const RaftEntry& e : range) {
+      EXPECT_EQ(e.command, written[e.index - 1].command) << when;
+    }
+  };
+  {
+    DurableRaftStorage storage(Options());
+    ASSERT_TRUE(storage.Open().ok());
+    ASSERT_TRUE(storage.Append(written).ok());
+    EXPECT_EQ(storage.resident_entries(), 40u);
+    storage.ReleaseThrough(30);
+    EXPECT_EQ(storage.resident_entries(), 10u);
+    expect_all(storage, "after release");
+    // Releasing backwards is a no-op; past the end clamps.
+    storage.ReleaseThrough(5);
+    EXPECT_EQ(storage.resident_entries(), 10u);
+    // Unapplied entries above the floor may still be cut and replaced.
+    ASSERT_TRUE(storage.TruncateSuffix(39).ok());
+    written.resize(38);
+    RaftEntry replacement{39, 9, Cmd("replacement")};
+    ASSERT_TRUE(storage.Append({replacement}).ok());
+    written.push_back(replacement);
+    expect_all(storage, "after cut above the floor");
+  }
+  DurableRaftStorage storage(Options());
+  ASSERT_TRUE(storage.Open().ok());
+  // A restart loads terms and offsets, never payloads.
+  EXPECT_EQ(storage.resident_entries(), 0u);
+  expect_all(storage, "after reopen");
+  RaftEntry next{40, 9, Cmd("after reopen")};
+  ASSERT_TRUE(storage.Append({next}).ok());
+  written.push_back(next);
+  EXPECT_EQ(storage.resident_entries(), 1u);
+  expect_all(storage, "after append past reopen");
+}
+
+TEST_F(DurableRaftStorageTest, TruncatingReleasedEntriesIsFatal) {
+  DurableRaftStorage storage(Options());
+  ASSERT_TRUE(storage.Open().ok());
+  ASSERT_TRUE(storage
+                  .Append({{1, 1, Cmd("a")}, {2, 1, Cmd("b")},
+                           {3, 1, Cmd("c")}})
+                  .ok());
+  storage.ReleaseThrough(2);
+  EXPECT_DEATH((void)storage.TruncateSuffix(2), "would cut applied entries");
+  EXPECT_TRUE(storage.TruncateSuffix(3).ok());
+}
+
+TEST(RaftStorageTest, VolatileStorageKeepsEveryPayload) {
+  RaftStorage storage;
+  ASSERT_TRUE(storage.Append({{1, 1, Cmd("a")}, {2, 2, Cmd("b")}}).ok());
+  EXPECT_EQ(storage.resident_entries(), 2u);
+  EXPECT_EQ(CmdStr(storage.At(1)), "a");
+  EXPECT_EQ(storage.TermAt(2), 2u);
+  ASSERT_TRUE(storage.TruncateSuffix(1).ok());
+  EXPECT_EQ(storage.last_index(), 0u);
+  EXPECT_EQ(storage.TermAt(1), 0u);
 }
 
 }  // namespace

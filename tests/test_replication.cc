@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -353,6 +354,46 @@ TEST_F(ReplicationTest, StoppedFollowerRejoinsAtExactCommitIndex) {
   const std::string reference = LogBytes(leader);
   ASSERT_FALSE(reference.empty());
   EXPECT_EQ(LogBytes(follower), reference);
+}
+
+TEST_F(ReplicationTest, LeaderNeverReadsAppliedAboveCommit) {
+  // The commit index is published before the applier can see the entries
+  // it covers, so a reader never observes applied_index() > commit_index()
+  // — the order WaitForConvergence relies on.
+  StartCluster(3);
+  const int leader = WaitForLeader();
+  ASSERT_GE(leader, 0);
+  Replicator* replicator = nodes_[leader]->replicator();
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> reads{0};
+  std::atomic<uint64_t> violations{0};
+  std::thread poller([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const uint64_t applied = replicator->applied_index();
+      const uint64_t commit = replicator->commit_index();
+      if (applied > commit) violations.fetch_add(1);
+      reads.fetch_add(1);
+    }
+  });
+  HyperplaneOptions sopts;
+  sopts.dim = kDim;
+  sopts.seed = 37;
+  HyperplaneSource source(sopts);
+  StreamClient client(ClusterClient(506, leader));
+  constexpr int kBatches = 500;
+  for (int b = 0; b < kBatches; ++b) {
+    const Status submitted = client.Submit(b % 8, NextLabeled(source));
+    if (!submitted.ok()) {
+      ADD_FAILURE() << "batch " << b << ": " << submitted;
+      break;
+    }
+  }
+  done.store(true, std::memory_order_release);
+  poller.join();
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(violations.load(), 0u)
+      << violations.load() << " of " << reads.load()
+      << " reads saw applied > commit";
 }
 
 /// Satellite: steady-state checkpoint-anchored truncation in the
