@@ -34,12 +34,11 @@ struct CheckpointInfo {
 ///
 /// Disk format per file (`<name>-<seq>.ckpt`):
 ///   u32 magic 'FWCP'  |  u32 format version  |  u64 payload size
-///   u32 CRC-32 of the payload  |  payload bytes
+///   u32 CRC-32 of the payload  |  u32 zero  |  payload bytes
 ///
-/// Writes go to `<file>.tmp` first and are renamed into place only after a
-/// complete (optionally fsynced) write, so a reader never observes a
-/// partial checkpoint: a file either has its final name and validates, or
-/// it does not exist. Reads re-verify magic, version, size, and CRC, so
+/// Writes are atomic replaces (DESIGN.md "Durable files"), so a reader
+/// never observes a partial checkpoint: a file either has its final name
+/// and validates, or it does not exist. Reads re-verify magic, version, size, and CRC, so
 /// truncation and bit flips are rejected with a clean Status — corruption
 /// can never produce a silent partial restore.
 ///
@@ -82,7 +81,6 @@ class CheckpointStore {
   const CheckpointStoreOptions& options() const { return options_; }
 
  private:
-  Status EnsureDirectory() const;
   /// Builds versions_ from one full directory scan. No-op once scanned; a
   /// not-yet-existing directory yields an empty index without latching, so
   /// a directory created by a later Write is still scanned.

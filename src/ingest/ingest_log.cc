@@ -1,10 +1,8 @@
 #include "ingest/ingest_log.h"
 
 #include <fcntl.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -24,7 +22,6 @@ namespace {
 constexpr uint32_t kSegmentMagic = 0x47495746;  // 'FWIG'
 constexpr uint32_t kSegmentFormatVersion = 1;
 constexpr size_t kSegmentHeaderBytes = 16;
-constexpr size_t kRecordHeaderBytes = 8;
 /// A record payload above this is corruption, not data — the same bound as
 /// the wire protocol's kMaxFramePayload, since every batch record is a
 /// logged SUBMIT.
@@ -35,79 +32,11 @@ constexpr uint32_t kTagBatchRecord = 0x54414249;   // 'IBAT'
 constexpr uint32_t kTagRevertRecord = 0x54565249;  // 'IRVT'
 constexpr uint32_t kTagWatermarks = 0x4B4D5749;    // 'IWMK'
 
-std::string ErrnoMessage(const std::string& what, const std::string& path) {
-  return what + " " + path + ": " + std::strerror(errno);
-}
-
-/// RAII fd so every error path below can early-return without leaking.
-class ScopedFd {
- public:
-  explicit ScopedFd(int fd) : fd_(fd) {}
-  ~ScopedFd() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  ScopedFd(const ScopedFd&) = delete;
-  ScopedFd& operator=(const ScopedFd&) = delete;
-
-  int get() const { return fd_; }
-  int Release() {
-    int fd = fd_;
-    fd_ = -1;
-    return fd;
-  }
-
- private:
-  int fd_;
-};
-
-Status WriteAll(int fd, const char* data, size_t size,
-                const std::string& path) {
-  size_t written = 0;
-  while (written < size) {
-    ssize_t n = ::write(fd, data + written, size - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(ErrnoMessage("ingest: write failed for", path));
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-Status FsyncFd(int fd, const std::string& path) {
-  if (::fsync(fd) != 0) {
-    return Status::IoError(ErrnoMessage("ingest: fsync failed for", path));
-  }
-  return Status::OK();
-}
-
-Status FsyncPath(const std::string& path) {
-  ScopedFd fd(::open(path.c_str(), O_RDONLY));
-  if (fd.get() < 0) {
-    return Status::IoError(ErrnoMessage("ingest: open for fsync", path));
-  }
-  return FsyncFd(fd.get(), path);
-}
-
 /// Parses "ingest-<base_lsn>.seg" into the base LSN.
 bool ParseSegmentFilename(const std::string& filename, uint64_t* base_lsn) {
-  const std::string prefix = "ingest-";
-  const std::string suffix = ".seg";
-  if (filename.size() <= prefix.size() + suffix.size()) return false;
-  if (filename.compare(0, prefix.size(), prefix) != 0) return false;
-  if (filename.compare(filename.size() - suffix.size(), suffix.size(),
-                       suffix) != 0) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (size_t i = prefix.size(); i < filename.size() - suffix.size(); ++i) {
-    const char c = filename[i];
-    if (c < '0' || c > '9') return false;
-    if (value > (UINT64_MAX - (c - '0')) / 10) return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *base_lsn = value;
-  return true;
+  std::string stem;
+  return ParseNumberedFileName(filename, ".seg", &stem, base_lsn) &&
+         stem == "ingest";
 }
 
 /// One parsed record payload. Revert records reuse `record.client_id` /
@@ -126,12 +55,7 @@ std::vector<char> EncodeBatchRecord(const IngestRecord& record, uint64_t lsn) {
   SnapshotWriter writer;
   writer.WriteSection(kTagBatchRecord);
   writer.WriteU64(lsn);
-  writer.WriteU64(record.client_id);
-  writer.WriteU64(record.sequence);
-  writer.WriteU64(record.stream_id);
-  writer.WriteU32(record.tenant_id);
-  writer.WriteU32(record.priority);
-  writer.WriteBatch(record.batch);
+  WriteIngestRecord(record, &writer);
   return writer.Take();
 }
 
@@ -157,7 +81,7 @@ std::vector<char> EncodeWatermarkRecord(uint64_t covered_lsn,
 
 /// Parses one CRC-verified record payload. Failure here is *not* a torn
 /// tail — the CRC already passed — so callers treat it as hard corruption.
-Status ParseRecordPayload(const std::vector<char>& payload, LogRecord* out) {
+Status ParseRecordPayload(std::span<const char> payload, LogRecord* out) {
   SnapshotReader reader(payload);
   uint32_t tag = 0;
   RETURN_IF_ERROR(reader.ReadU32(&tag));
@@ -171,17 +95,7 @@ Status ParseRecordPayload(const std::vector<char>& payload, LogRecord* out) {
   RETURN_IF_ERROR(reader.ReadU64(&out->lsn));
   switch (tag) {
     case kTagBatchRecord: {
-      RETURN_IF_ERROR(reader.ReadU64(&out->record.client_id));
-      RETURN_IF_ERROR(reader.ReadU64(&out->record.sequence));
-      RETURN_IF_ERROR(reader.ReadU64(&out->record.stream_id));
-      RETURN_IF_ERROR(reader.ReadU32(&out->record.tenant_id));
-      uint32_t priority = 0;
-      RETURN_IF_ERROR(reader.ReadU32(&priority));
-      if (priority > 255) {
-        return Status::InvalidArgument("ingest: priority out of range");
-      }
-      out->record.priority = static_cast<uint8_t>(priority);
-      RETURN_IF_ERROR(reader.ReadBatch(&out->record.batch));
+      RETURN_IF_ERROR(ReadIngestRecord(&reader, &out->record));
       RETURN_IF_ERROR(reader.ExpectEnd());
       out->record.lsn = out->lsn;
       return Status::OK();
@@ -212,104 +126,78 @@ struct SegmentScan {
   std::vector<LogRecord> records;
   /// Byte offset just past the last intact record. Below file_size only
   /// when the scan stopped early (see tail_error).
-  size_t valid_end = 0;
-  size_t file_size = 0;
-  /// Why the scan stopped before the end of the file: a truncated or
-  /// CRC-failing record. OK when the whole file parsed. Only the *last*
-  /// segment of a log may carry this (a torn tail); anywhere else it is
-  /// corruption.
+  uint64_t valid_end = 0;
+  uint64_t file_size = 0;
+  /// Why the scan stopped before the end of the file: the first invalid
+  /// frame (see FrameReader), a torn tail. OK when the whole file parsed.
   Status tail_error = Status::OK();
 };
 
-Result<SegmentScan> ScanSegmentFile(const std::string& path) {
+/// Scans one segment. In a `sealed` segment (any but the newest) an
+/// invalid frame is corruption, not a torn tail: sealed segments are never
+/// written again, so a tear cannot explain it.
+Result<SegmentScan> ScanSegmentFile(const std::string& path, bool sealed) {
   ScopedFd fd(::open(path.c_str(), O_RDONLY));
   if (fd.get() < 0) {
     return Status::IoError(ErrnoMessage("ingest: cannot open", path));
   }
-  std::error_code ec;
-  const uintmax_t file_size = fs::file_size(path, ec);
-  if (ec) {
-    return Status::IoError("ingest: cannot stat " + path + ": " +
-                           ec.message());
-  }
-  std::vector<char> bytes(static_cast<size_t>(file_size));
-  size_t got = 0;
-  while (got < bytes.size()) {
-    const ssize_t n = ::read(fd.get(), bytes.data() + got, bytes.size() - got);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(ErrnoMessage("ingest: read failed for", path));
-    }
-    if (n == 0) break;  // Shrunk under us; the scan below sees the prefix.
-    got += static_cast<size_t>(n);
-  }
-  bytes.resize(got);
-
   SegmentScan scan;
-  scan.file_size = bytes.size();
-  if (bytes.size() < kSegmentHeaderBytes) {
-    return Status::InvalidArgument("ingest: segment " + path +
-                                   " is shorter than its header");
-  }
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  std::memcpy(&magic, bytes.data(), 4);
-  std::memcpy(&version, bytes.data() + 4, 4);
-  std::memcpy(&scan.base_lsn, bytes.data() + 8, 8);
-  if (magic != kSegmentMagic) {
-    return Status::InvalidArgument("ingest: bad magic in " + path);
-  }
-  if (version != kSegmentFormatVersion) {
-    return Status::InvalidArgument("ingest: unsupported segment version " +
-                                   std::to_string(version) + " in " + path);
-  }
+  ASSIGN_OR_RETURN(scan.file_size, FileSize(fd.get(), path));
+  char header[kSegmentHeaderBytes];
+  RETURN_IF_ERROR(ReadFileHead(fd.get(), header, kSegmentMagic,
+                               kSegmentFormatVersion, path));
+  std::memcpy(&scan.base_lsn, header + 8, 8);
 
-  size_t pos = kSegmentHeaderBytes;
-  scan.valid_end = pos;
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < kRecordHeaderBytes) {
-      scan.tail_error =
-          Status::InvalidArgument("ingest: truncated record header in " + path);
-      break;
-    }
-    uint32_t payload_size = 0;
-    uint32_t payload_crc = 0;
-    std::memcpy(&payload_size, bytes.data() + pos, 4);
-    std::memcpy(&payload_crc, bytes.data() + pos + 4, 4);
-    if (payload_size > kMaxRecordPayload) {
-      scan.tail_error = Status::InvalidArgument(
-          "ingest: record of " + std::to_string(payload_size) +
-          " bytes exceeds the format maximum in " + path);
-      break;
-    }
-    if (bytes.size() - pos - kRecordHeaderBytes < payload_size) {
-      scan.tail_error =
-          Status::InvalidArgument("ingest: truncated record payload in " + path);
-      break;
-    }
-    const char* payload_bytes = bytes.data() + pos + kRecordHeaderBytes;
-    if (Crc32(payload_bytes, payload_size) != payload_crc) {
-      scan.tail_error =
-          Status::InvalidArgument("ingest: record CRC mismatch in " + path);
-      break;
-    }
-    std::vector<char> payload(payload_bytes, payload_bytes + payload_size);
+  FrameReader frames(fd.get(), path, kSegmentHeaderBytes, scan.file_size,
+                     kMaxRecordPayload);
+  while (true) {
+    ASSIGN_OR_RETURN(const bool more, frames.Next());
+    if (!more) break;
     LogRecord record;
     // CRC-valid bytes that fail to parse are hard corruption everywhere
     // (a tear cannot survive the CRC), so this is not a tail_error.
-    RETURN_IF_ERROR(ParseRecordPayload(payload, &record));
+    RETURN_IF_ERROR(ParseRecordPayload(frames.payload(), &record));
     scan.records.push_back(std::move(record));
-    pos += kRecordHeaderBytes + payload_size;
-    scan.valid_end = pos;
+  }
+  scan.valid_end = frames.valid_end();
+  scan.tail_error = frames.tail_error();
+  if (sealed && !scan.tail_error.ok()) {
+    return Status(scan.tail_error.code(), "ingest: corrupt sealed segment: " +
+                                              scan.tail_error.message());
   }
   return scan;
 }
 
 }  // namespace
 
+void WriteIngestRecord(const IngestRecord& record, SnapshotWriter* writer) {
+  writer->WriteU64(record.client_id);
+  writer->WriteU64(record.sequence);
+  writer->WriteU64(record.stream_id);
+  writer->WriteU32(record.tenant_id);
+  writer->WriteU32(record.priority);
+  writer->WriteBatch(record.batch);
+}
+
+Status ReadIngestRecord(SnapshotReader* reader, IngestRecord* record) {
+  RETURN_IF_ERROR(reader->ReadU64(&record->client_id));
+  RETURN_IF_ERROR(reader->ReadU64(&record->sequence));
+  RETURN_IF_ERROR(reader->ReadU64(&record->stream_id));
+  RETURN_IF_ERROR(reader->ReadU32(&record->tenant_id));
+  uint32_t priority = 0;
+  RETURN_IF_ERROR(reader->ReadU32(&priority));
+  if (priority > 255) {
+    return Status::InvalidArgument("ingest record: priority " +
+                                   std::to_string(priority) +
+                                   " out of range");
+  }
+  record->priority = static_cast<uint8_t>(priority);
+  return reader->ReadBatch(&record->batch);
+}
+
 IngestLog::IngestLog(IngestLogOptions options) : options_(std::move(options)) {
-  if (options_.segment_max_bytes < kSegmentHeaderBytes + kRecordHeaderBytes) {
-    options_.segment_max_bytes = kSegmentHeaderBytes + kRecordHeaderBytes;
+  if (options_.segment_max_bytes < kSegmentHeaderBytes + kLogFrameHeaderBytes) {
+    options_.segment_max_bytes = kSegmentHeaderBytes + kLogFrameHeaderBytes;
   }
   if (options_.metrics != nullptr) {
     MetricsRegistry* registry = options_.metrics;
@@ -325,9 +213,7 @@ IngestLog::IngestLog(IngestLogOptions options) : options_(std::move(options)) {
   }
 }
 
-IngestLog::~IngestLog() {
-  if (active_fd_ >= 0) ::close(active_fd_);
-}
+IngestLog::~IngestLog() = default;
 
 Status IngestLog::Open(DedupIndex* dedup) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -342,16 +228,12 @@ Status IngestLog::OpenLocked(DedupIndex* dedup) {
   if (options_.directory.empty()) {
     return Status::InvalidArgument("ingest: log directory is empty");
   }
-  std::error_code ec;
   if (!options_.read_only) {
-    fs::create_directories(options_.directory, ec);
-    if (ec) {
-      return Status::IoError("ingest: cannot create directory " +
-                             options_.directory + ": " + ec.message());
-    }
+    RETURN_IF_ERROR(CreateDirectories(options_.directory));
   }
 
   std::vector<Segment> segments;
+  std::error_code ec;
   fs::directory_iterator it(options_.directory, ec);
   if (ec) {
     if (options_.read_only && !fs::exists(options_.directory)) {
@@ -382,32 +264,22 @@ Status IngestLog::OpenLocked(DedupIndex* dedup) {
 
   next_lsn_ = 1;
   for (size_t i = 0; i < segments.size(); ++i) {
-    ASSIGN_OR_RETURN(SegmentScan scan, ScanSegmentFile(segments[i].path));
+    const bool sealed = i + 1 != segments.size();
+    ASSIGN_OR_RETURN(SegmentScan scan,
+                     ScanSegmentFile(segments[i].path, sealed));
     if (scan.base_lsn != segments[i].base_lsn) {
       return Status::InvalidArgument(
           "ingest: segment " + segments[i].path + " header claims base LSN " +
           std::to_string(scan.base_lsn));
     }
     if (!scan.tail_error.ok()) {
-      if (i + 1 != segments.size()) {
-        // Sealed segments are never written again, so a tear cannot
-        // explain a bad record here.
-        return Status(scan.tail_error.code(),
-                      "ingest: corrupt sealed segment: " +
-                          scan.tail_error.message());
-      }
       stats_.torn_bytes_truncated += scan.file_size - scan.valid_end;
       FREEWAY_LOG(kWarning) << "ingest: truncating torn tail of "
                             << segments[i].path << " ("
                             << (scan.file_size - scan.valid_end)
                             << " bytes): " << scan.tail_error.message();
-      if (!options_.read_only &&
-          ::truncate(segments[i].path.c_str(),
-                     static_cast<off_t>(scan.valid_end)) != 0) {
-        return Status::IoError(
-            ErrnoMessage("ingest: cannot truncate", segments[i].path));
-      }
     }
+    uint64_t end_lsn = segments[i].base_lsn;
     for (const LogRecord& record : scan.records) {
       ++stats_.recovered_records;
       switch (record.tag) {
@@ -415,13 +287,13 @@ Status IngestLog::OpenLocked(DedupIndex* dedup) {
           if (dedup_ != nullptr) {
             dedup_->Advance(record.record.client_id, record.record.sequence);
           }
-          next_lsn_ = std::max(next_lsn_, record.lsn + 1);
+          end_lsn = std::max(end_lsn, record.lsn + 1);
           break;
         case kTagRevertRecord:
           if (dedup_ != nullptr) {
             dedup_->Revert(record.record.client_id, record.record.sequence);
           }
-          next_lsn_ = std::max(next_lsn_, record.lsn + 1);
+          end_lsn = std::max(end_lsn, record.lsn + 1);
           break;
         case kTagWatermarks:
           // Every segment head snapshots the full table, superseding
@@ -433,19 +305,25 @@ Status IngestLog::OpenLocked(DedupIndex* dedup) {
           break;
       }
     }
+    // A sealed segment ends exactly where its successor begins (rotation
+    // starts the next segment at the next LSN). A sealed segment cut at a
+    // record boundary parses cleanly, so only this catches it.
+    if (sealed && end_lsn != segments[i + 1].base_lsn) {
+      return Status::InvalidArgument(
+          "ingest: corrupt sealed segment: " + segments[i].path +
+          " ends before LSN " + std::to_string(end_lsn) +
+          " but the next segment starts at LSN " +
+          std::to_string(segments[i + 1].base_lsn));
+    }
     // A snapshot-only segment (fresh after an anchored truncation) carries
     // the next LSN in its header.
-    next_lsn_ = std::max(next_lsn_, segments[i].base_lsn);
-    if (i + 1 == segments.size() && !options_.read_only) {
-      const size_t size = scan.tail_error.ok() ? scan.file_size
-                                               : scan.valid_end;
-      ScopedFd fd(::open(segments[i].path.c_str(), O_WRONLY | O_APPEND));
-      if (fd.get() < 0) {
-        return Status::IoError(
-            ErrnoMessage("ingest: cannot reopen", segments[i].path));
+    next_lsn_ = std::max(next_lsn_, end_lsn);
+    if (!sealed && !options_.read_only) {
+      RETURN_IF_ERROR(active_.Open(segments[i].path, scan.file_size,
+                                   /*create=*/false));
+      if (!scan.tail_error.ok()) {
+        RETURN_IF_ERROR(active_.Truncate(scan.valid_end, /*fsync=*/false));
       }
-      active_fd_ = fd.Release();
-      active_size_ = size;
     }
   }
   segments_ = std::move(segments);
@@ -458,97 +336,45 @@ Status IngestLog::OpenLocked(DedupIndex* dedup) {
 }
 
 Status IngestLog::StartSegmentLocked(uint64_t base_lsn) {
-  if (active_fd_ >= 0) {
-    ::close(active_fd_);
-    active_fd_ = -1;
-  }
-  const fs::path final_path =
-      fs::path(options_.directory) /
-      ("ingest-" + std::to_string(base_lsn) + ".seg");
-  const fs::path tmp_path = final_path.string() + ".tmp";
+  active_.Close();
+  const std::string path =
+      (fs::path(options_.directory) /
+       ("ingest-" + std::to_string(base_lsn) + ".seg"))
+          .string();
 
-  std::vector<char> head(kSegmentHeaderBytes);
-  std::memcpy(head.data(), &kSegmentMagic, 4);
-  std::memcpy(head.data() + 4, &kSegmentFormatVersion, 4);
-  std::memcpy(head.data() + 8, &base_lsn, 8);
+  SnapshotWriter header;
+  header.WriteSection(kSegmentMagic, kSegmentFormatVersion);
+  header.WriteU64(base_lsn);
+  std::vector<char> head = header.Take();
   if (dedup_ != nullptr) {
     // Head snapshot: everything the table learned from records below
     // base_lsn, so recovery never needs the pruned segments.
-    const std::vector<char> payload =
-        EncodeWatermarkRecord(base_lsn == 0 ? 0 : base_lsn - 1, *dedup_);
-    const uint32_t size = static_cast<uint32_t>(payload.size());
-    const uint32_t crc = Crc32(payload.data(), payload.size());
-    head.resize(kSegmentHeaderBytes + kRecordHeaderBytes + payload.size());
-    std::memcpy(head.data() + kSegmentHeaderBytes, &size, 4);
-    std::memcpy(head.data() + kSegmentHeaderBytes + 4, &crc, 4);
-    std::memcpy(head.data() + kSegmentHeaderBytes + kRecordHeaderBytes,
-                payload.data(), payload.size());
+    AppendFrame(EncodeWatermarkRecord(base_lsn == 0 ? 0 : base_lsn - 1,
+                                      *dedup_),
+                &head);
   }
-
-  {
-    ScopedFd fd(::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644));
-    if (fd.get() < 0) {
-      return Status::IoError(
-          ErrnoMessage("ingest: cannot create", tmp_path.string()));
-    }
-    RETURN_IF_ERROR(
-        WriteAll(fd.get(), head.data(), head.size(), tmp_path.string()));
-    if (options_.fsync) {
-      RETURN_IF_ERROR(FsyncFd(fd.get(), tmp_path.string()));
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp_path, final_path, ec);
-  if (ec) {
-    fs::remove(tmp_path, ec);
-    return Status::IoError("ingest: rename to " + final_path.string() +
-                           " failed: " + ec.message());
-  }
-  if (options_.fsync) {
-    RETURN_IF_ERROR(FsyncPath(options_.directory));
-  }
-  ScopedFd fd(::open(final_path.c_str(), O_WRONLY | O_APPEND));
-  if (fd.get() < 0) {
-    return Status::IoError(
-        ErrnoMessage("ingest: cannot reopen", final_path.string()));
-  }
-  active_fd_ = fd.Release();
-  active_size_ = head.size();
-  segments_.push_back({base_lsn, final_path.string()});
+  RETURN_IF_ERROR(WriteFileAtomically(path, {head}, options_.fsync));
+  RETURN_IF_ERROR(active_.Open(path, head.size(), /*create=*/false));
+  segments_.push_back({base_lsn, path});
   stats_.segments = segments_.size();
   return Status::OK();
 }
 
 Status IngestLog::AppendPayloadLocked(const std::vector<char>& payload) {
-  if (active_size_ >= options_.segment_max_bytes) {
+  if (active_.size() >= options_.segment_max_bytes) {
     RETURN_IF_ERROR(RotateLocked());
   }
-  std::vector<char> buffer(kRecordHeaderBytes + payload.size());
-  const uint32_t size = static_cast<uint32_t>(payload.size());
-  const uint32_t crc = Crc32(payload.data(), payload.size());
-  std::memcpy(buffer.data(), &size, 4);
-  std::memcpy(buffer.data() + 4, &crc, 4);
-  std::memcpy(buffer.data() + kRecordHeaderBytes, payload.data(),
-              payload.size());
-  const std::string& path = segments_.back().path;
-  Status written = WriteAll(active_fd_, buffer.data(), buffer.size(), path);
-  if (written.ok() && options_.fsync) {
-    written = FsyncFd(active_fd_, path);
-  }
+  const uint64_t start = active_.size();
+  Status written = active_.Append(payload, options_.fsync);
   if (!written.ok()) {
-    // Roll the partial record back so the segment stays parseable; a
-    // failed rollback leaves a torn tail that the next Open() truncates,
-    // but this process must stop appending past it.
-    if (::ftruncate(active_fd_, static_cast<off_t>(active_size_)) != 0) {
-      opened_ = false;
-      FREEWAY_LOG(kError) << "ingest: append and rollback both failed for "
-                          << path << "; log closed: " << written;
-    }
+    // The appender rolled the partial record back. If that failed too it
+    // stopped appending, and so must this log: the torn tail is for the
+    // next Open() to truncate, and rotating past it would seal it.
+    if (!active_.appendable()) opened_ = false;
     return written;
   }
-  active_size_ += buffer.size();
   if (metric_append_bytes_ != nullptr) {
-    metric_append_bytes_->Observe(static_cast<double>(buffer.size()));
+    metric_append_bytes_->Observe(static_cast<double>(active_.size() - start));
   }
   return Status::OK();
 }
@@ -592,6 +418,13 @@ Result<uint64_t> IngestLog::AppendRevert(uint64_t cancelled_lsn,
 }
 
 Status IngestLog::RotateLocked() {
+  // An active segment that holds no record yet already starts at next_lsn_
+  // under current watermarks. Starting it again would replace the file
+  // under the same name and list it twice, and TruncateBefore would then
+  // delete the active file along with the stale entry.
+  if (active_.appendable() && segments_.back().base_lsn == next_lsn_) {
+    return Status::OK();
+  }
   RETURN_IF_ERROR(StartSegmentLocked(next_lsn_));
   ++stats_.rotations;
   if (metric_rotations_ != nullptr) metric_rotations_->Inc();
@@ -635,8 +468,7 @@ Status IngestLog::TruncateBefore(uint64_t lsn, size_t keep_sealed_segments) {
 
 Status IngestLog::Sync() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (active_fd_ < 0) return Status::OK();
-  return FsyncFd(active_fd_, segments_.back().path);
+  return active_.Sync();
 }
 
 Status IngestLog::Replay(
@@ -648,12 +480,9 @@ Status IngestLog::Replay(
   // submits need no pairing heuristics).
   std::unordered_set<uint64_t> reverted;
   for (size_t i = 0; i < segments_.size(); ++i) {
-    ASSIGN_OR_RETURN(SegmentScan scan, ScanSegmentFile(segments_[i].path));
-    if (!scan.tail_error.ok() && i + 1 != segments_.size()) {
-      return Status(scan.tail_error.code(),
-                    "ingest: corrupt sealed segment: " +
-                        scan.tail_error.message());
-    }
+    ASSIGN_OR_RETURN(
+        SegmentScan scan,
+        ScanSegmentFile(segments_[i].path, i + 1 != segments_.size()));
     for (const LogRecord& record : scan.records) {
       if (record.tag == kTagRevertRecord) reverted.insert(record.cancelled_lsn);
     }
@@ -661,7 +490,9 @@ Status IngestLog::Replay(
   // Pass 2: yield the survivors in LSN order (segments are already sorted
   // and records within a segment are append-ordered).
   for (size_t i = 0; i < segments_.size(); ++i) {
-    ASSIGN_OR_RETURN(SegmentScan scan, ScanSegmentFile(segments_[i].path));
+    ASSIGN_OR_RETURN(
+        SegmentScan scan,
+        ScanSegmentFile(segments_[i].path, i + 1 != segments_.size()));
     for (const LogRecord& record : scan.records) {
       if (record.tag != kTagBatchRecord) continue;
       if (reverted.count(record.lsn) != 0) continue;

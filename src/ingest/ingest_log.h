@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "fault/durable_file.h"
 #include "ingest/dedup.h"
 #include "obs/metrics.h"
 #include "stream/batch.h"
@@ -51,6 +52,15 @@ struct IngestRecord {
   Batch batch;
 };
 
+/// The IngestRecord fields every logged or replicated SUBMIT carries —
+/// client_id, sequence, stream_id, tenant_id, priority (as u32), batch —
+/// in that order. Shared by the ingest log's batch record and the
+/// replicated batch command. The LSN is not among them.
+void WriteIngestRecord(const IngestRecord& record, SnapshotWriter* writer);
+/// Reads the fields WriteIngestRecord wrote; a priority above 255 is
+/// rejected.
+Status ReadIngestRecord(SnapshotReader* reader, IngestRecord* record);
+
 /// Counters describing the log's life so far (recovery results included).
 struct IngestLogStats {
   uint64_t appends = 0;
@@ -68,12 +78,13 @@ struct IngestLogStats {
 /// Durable append-only write-ahead log of admitted SUBMITs.
 ///
 /// The log is a directory of segment files (`ingest-<base_lsn>.seg`), each
-/// opened with the CheckpointStore idiom: written to a `.tmp` first and
-/// renamed into place, so a reader never observes a segment without its
-/// header. Segment layout:
+/// created by an atomic replace, so a reader never observes a segment
+/// without its header, and then appended to as a framed-record file
+/// (DESIGN.md "Durable files" has the frame, the atomic-replace and the
+/// torn-tail rules). Segment layout:
 ///
 ///   u32 magic 'FWIG' | u32 format version | u64 base_lsn    (header)
-///   u32 payload size | u32 payload CRC-32 | payload bytes   (per record)
+///   one frame per record
 ///
 /// Record payloads are batch_codec sections: a batch record ('IBAT', the
 /// logged SubmitMessage plus its LSN), a revert record ('IRVT', a batch
@@ -85,11 +96,12 @@ struct IngestLogStats {
 /// of the remaining records rebuilds the exact dedup state, which is what
 /// makes checkpoint-anchored truncation (TruncateBefore) safe.
 ///
-/// Open() validates every record CRC in order. A bad record in the *last*
-/// segment is a torn tail (the process died mid-append): the file is
-/// truncated back to the last good record and appending resumes there. A
-/// bad record in any earlier segment is real corruption and fails Open —
-/// sealed segments are never written again, so a tear cannot explain it.
+/// Open() applies the torn-tail rule to the *last* segment only: appending
+/// resumes after its last good record. A bad frame in any earlier segment
+/// is real corruption and fails Open — sealed segments are never written
+/// again, so a tear cannot explain it — and so is a sealed segment whose
+/// records stop short of its successor's base LSN. A frame that passes
+/// its CRC but does not parse fails Open wherever it is.
 ///
 /// Thread-safe: Append/AppendRevert/Rotate/TruncateBefore serialize on an
 /// internal mutex (reactor workers on different connections append
@@ -174,8 +186,8 @@ class IngestLog {
   mutable std::mutex mutex_;
   bool opened_ = false;
   std::vector<Segment> segments_;
-  int active_fd_ = -1;
-  size_t active_size_ = 0;
+  /// The newest segment's append side (closed in read_only mode).
+  FrameAppender active_;
   uint64_t next_lsn_ = 1;
   DedupIndex* dedup_ = nullptr;
   IngestLogStats stats_;

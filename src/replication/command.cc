@@ -34,12 +34,7 @@ std::vector<char> EncodeCommand(const ReplicatedCommand& command) {
       return {};
     case CommandKind::kBatch: {
       writer.WriteSection(kTagBatchCommand);
-      writer.WriteU64(command.record.client_id);
-      writer.WriteU64(command.record.sequence);
-      writer.WriteU64(command.record.stream_id);
-      writer.WriteU32(command.record.tenant_id);
-      writer.WriteU32(command.record.priority);
-      writer.WriteBatch(command.record.batch);
+      WriteIngestRecord(command.record, &writer);
       break;
     }
     case CommandKind::kDeadLetter: {
@@ -80,14 +75,7 @@ Status DecodeCommand(const std::vector<char>& bytes,
   switch (tag) {
     case kTagBatchCommand: {
       command->kind = CommandKind::kBatch;
-      RETURN_IF_ERROR(reader.ReadU64(&command->record.client_id));
-      RETURN_IF_ERROR(reader.ReadU64(&command->record.sequence));
-      RETURN_IF_ERROR(reader.ReadU64(&command->record.stream_id));
-      RETURN_IF_ERROR(reader.ReadU32(&command->record.tenant_id));
-      uint32_t priority = 0;
-      RETURN_IF_ERROR(reader.ReadU32(&priority));
-      command->record.priority = static_cast<uint8_t>(priority);
-      RETURN_IF_ERROR(reader.ReadBatch(&command->record.batch));
+      RETURN_IF_ERROR(ReadIngestRecord(&reader, &command->record));
       break;
     }
     case kTagDeadLetterCommand: {

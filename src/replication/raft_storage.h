@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "common/status.h"
+#include "fault/durable_file.h"
+#include "obs/metrics.h"
 #include "replication/raft.h"
 
 namespace freeway {
@@ -19,26 +21,31 @@ struct DurableRaftStorageOptions {
   bool fsync = false;
   /// FailPoint site prefix; the persistence site is "<scope>raft.persist".
   std::string failpoint_scope;
+  /// Sink for `freeway_raft_append_seconds` (every durable entry append,
+  /// leader and follower alike). Null disables.
+  MetricsRegistry* metrics = nullptr;
 };
 
 /// RaftStorage that writes through to disk.
 ///
-/// Hard state (`raft-state.dat`) uses the checkpoint-store tmp+rename
-/// idiom: the 28-byte CRC-checked file is rewritten atomically on every
-/// term/vote change, so a crash mid-write leaves the previous state intact
-/// and the node can never come back having forgotten a vote it handed out.
+/// Both files follow DESIGN.md "Durable files". Hard state
+/// (`raft-state.dat`, 28 CRC-checked bytes) is rewritten by atomic replace
+/// on every term/vote change, so a crash mid-write leaves the previous
+/// state intact and the node can never come back having forgotten a vote
+/// it handed out.
 ///
-/// The log (`raft-log.dat`) is append-only with CRC-checked records:
+/// The log (`raft-log.dat`) is a framed-record file:
 ///
 ///   u32 magic 'FWRL' | u32 format version                (header)
-///   u32 payload size | u32 payload CRC-32 | payload      (per entry)
+///   one frame per entry
 ///
-/// Open() validates records in order; the first bad record is treated as a
-/// torn tail (the process died mid-append) and the file is truncated back
-/// to the last good entry — exactly the ingest-log recovery contract.
-/// TruncateSuffix ftruncates at the entry's recorded byte offset, which is
-/// how a follower discards uncommitted entries that conflict with a new
-/// leader. The log keeps its full prefix (no compaction): a rejoining
+/// A failed append is rolled back, so an append that reported OK is never
+/// lost behind a partial record. Open() applies the torn-tail rule to the
+/// whole log — the same frame scan as the ingest log's last segment — and
+/// also cuts at a frame that passes its CRC but does not decode as an
+/// entry. TruncateSuffix cuts the file at the entry's recorded byte offset,
+/// which is how a follower discards uncommitted entries that conflict with
+/// a new leader. The log keeps its full prefix (no compaction): a rejoining
 /// follower can always be caught up from index 1, at the cost of disk
 /// proportional to total committed traffic. Compaction via learner
 /// snapshots is an explicit non-goal of this revision (see DESIGN.md).
@@ -84,7 +91,7 @@ class DurableRaftStorage : public RaftStorage {
 
   DurableRaftStorageOptions options_;
   bool opened_ = false;
-  int log_fd_ = -1;
+  FrameAppender log_;
   /// Byte offset where entry `i+1` starts in raft-log.dat; the next append
   /// goes at entry_offsets_.back() (always size()+1 elements once open).
   std::vector<uint64_t> entry_offsets_;
@@ -92,6 +99,7 @@ class DurableRaftStorage : public RaftStorage {
   /// Highest index released: entries through it have been applied, hence
   /// committed, and must never be truncated.
   uint64_t release_floor_ = 0;
+  Histogram* metric_append_seconds_ = nullptr;
 };
 
 }  // namespace freeway

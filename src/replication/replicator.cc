@@ -54,7 +54,6 @@ Replicator::Replicator(ReplicationOptions options, ApplyFn apply, AckFn ack)
     metric_messages_dropped_ = m.GetCounter("freeway_raft_messages_dropped_total");
     metric_entries_sent_ = m.GetCounter("freeway_raft_entries_sent_total");
     metric_commit_seconds_ = m.GetHistogram("freeway_raft_commit_seconds");
-    metric_propose_seconds_ = m.GetHistogram("freeway_raft_append_seconds");
   }
 }
 
@@ -80,6 +79,7 @@ Status Replicator::Start(uint64_t initial_applied_batches) {
   storage_options.directory = options_.data_dir;
   storage_options.fsync = options_.fsync;
   storage_options.failpoint_scope = options_.failpoint_scope;
+  storage_options.metrics = options_.metrics;
   storage_ = std::make_unique<DurableRaftStorage>(storage_options);
   RETURN_IF_ERROR(storage_->Open());
 

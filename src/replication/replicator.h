@@ -294,7 +294,6 @@ class Replicator {
   /// them: divided by committed entries and peers it is the re-send factor.
   Counter* metric_entries_sent_ = nullptr;
   Histogram* metric_commit_seconds_ = nullptr;
-  Histogram* metric_propose_seconds_ = nullptr;
 };
 
 }  // namespace freeway

@@ -281,6 +281,29 @@ TEST_F(CheckpointStoreTest, NoTmpFilesSurviveWrites) {
   }
 }
 
+/// Leaves `pattern` in a stretch of stack that the next call reuses, so a
+/// writer that copies uninitialised stack bytes to disk shows it.
+__attribute__((noinline)) void DirtyStack(unsigned char pattern) {
+  volatile unsigned char scratch[4096];
+  for (size_t i = 0; i < sizeof(scratch); ++i) scratch[i] = pattern;
+}
+
+TEST_F(CheckpointStoreTest, HeaderPaddingIsZero) {
+  CheckpointStore store(Options());
+  for (int version = 1; version <= 3; ++version) {
+    DirtyStack(0xab);
+    ASSERT_TRUE(store.Write("padded", Payload("state")).ok());
+    const fs::path path =
+        dir_ / ("padded-" + std::to_string(version) + ".ckpt");
+    std::ifstream in(path, std::ios::binary);
+    char header[24];
+    ASSERT_TRUE(in.read(header, sizeof(header))) << path;
+    for (size_t i = 20; i < 24; ++i) {
+      EXPECT_EQ(header[i], 0) << path << " byte " << i;
+    }
+  }
+}
+
 TEST_F(CheckpointStoreTest, BitFlipInPayloadIsRejected) {
   CheckpointStore store(Options(/*keep=*/1));
   ASSERT_TRUE(store.Write("shard0", Payload("sensitive-state")).ok());

@@ -271,6 +271,33 @@ TEST_F(IngestLogTest, CorruptSealedSegmentFailsOpen) {
   ASSERT_FALSE(opened.ok());
 }
 
+TEST_F(IngestLogTest, RotatingAnEmptySegmentKeepsTheLog) {
+  // The server's truncation sweep: rotate + TruncateBefore(coverage) each
+  // time checkpoint coverage advances, here twice with no append between.
+  {
+    DedupIndex dedup;
+    IngestLog log(Options());
+    ASSERT_TRUE(log.Open(&dedup).ok());
+    for (uint64_t seq = 1; seq <= 10; ++seq) {
+      ASSERT_TRUE(log.Append(MakeRecord(1, seq, 5, seq)).ok());
+      dedup.Advance(1, seq);
+    }
+    ASSERT_TRUE(log.Rotate().ok());
+    ASSERT_TRUE(log.TruncateBefore(5).ok());
+    ASSERT_TRUE(log.Rotate().ok());
+    ASSERT_TRUE(log.TruncateBefore(10).ok());
+    EXPECT_EQ(log.stats().segments, 1u);
+    ASSERT_FALSE(fs::is_empty(dir_)) << "the active segment was deleted";
+    ASSERT_TRUE(log.Append(MakeRecord(1, 11, 5, 11)).ok());
+  }
+  DedupIndex dedup;
+  IngestLog log(Options());
+  ASSERT_TRUE(log.Open(&dedup).ok());
+  EXPECT_EQ(log.last_lsn(), 11u);
+  EXPECT_EQ(dedup.Watermark(1), 11u);
+  EXPECT_EQ(ReplayAll(log).size(), 1u);
+}
+
 TEST_F(IngestLogTest, RotationSnapshotsWatermarksForTruncation) {
   // Tiny segments force a rotation roughly every record.
   {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -624,6 +626,60 @@ TEST_F(DurableRaftStorageTest, TornLogTailIsTruncatedOnOpen) {
   EXPECT_GT(storage.torn_bytes_truncated(), 0u);
   // The log is usable again at the cut point.
   ASSERT_TRUE(storage.Append({{2, 2, Cmd("fresh")}}).ok());
+}
+
+/// Lowers this process's RLIMIT_FSIZE with SIGXFSZ ignored, so a write
+/// crossing `limit` stops short (then fails with EFBIG) instead of killing
+/// the process. The destructor restores the limit and the disposition.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t limit) {
+    ok_ = ::getrlimit(RLIMIT_FSIZE, &saved_) == 0;
+    saved_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    struct rlimit lowered = saved_;
+    lowered.rlim_cur = limit;
+    ok_ = ok_ && ::setrlimit(RLIMIT_FSIZE, &lowered) == 0;
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, saved_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+  bool ok() const { return ok_; }
+
+ private:
+  struct rlimit saved_ {};
+  void (*saved_handler_)(int) = SIG_DFL;
+  bool ok_ = false;
+};
+
+TEST_F(DurableRaftStorageTest, ShortWriteIsRolledBack) {
+  const fs::path log_path = dir_ / "raft-log.dat";
+  const std::vector<char> big(3000, 'x');
+  {
+    DurableRaftStorage storage(Options());
+    ASSERT_TRUE(storage.Open().ok());
+    ASSERT_TRUE(storage.Append({{1, 1, Cmd("first")}}).ok());
+    const uint64_t size = fs::file_size(log_path);
+    {
+      // Entry 2's record crosses the limit: the write stops partway.
+      FileSizeLimit limit(size + 1000);
+      ASSERT_TRUE(limit.ok());
+      EXPECT_FALSE(storage.Append({{2, 1, big}}).ok());
+    }
+    EXPECT_EQ(storage.last_index(), 1u);
+    EXPECT_EQ(fs::file_size(log_path), size) << "partial record left behind";
+    ASSERT_TRUE(storage.Append({{2, 1, big}}).ok());
+    storage.ReleaseThrough(2);  // At(2) now reads the record from disk.
+    EXPECT_EQ(storage.At(2).command, big);
+  }
+  DurableRaftStorage storage(Options());
+  ASSERT_TRUE(storage.Open().ok());
+  EXPECT_EQ(storage.last_index(), 2u);
+  EXPECT_EQ(storage.torn_bytes_truncated(), 0u);
+  EXPECT_EQ(storage.At(2).command, big);
 }
 
 TEST_F(DurableRaftStorageTest, CorruptHardStateFailsOpen) {

@@ -260,6 +260,30 @@ TEST_F(ReplicationTest, ThreeNodeLogsAreBitIdentical) {
   }
 }
 
+TEST_F(ReplicationTest, RaftAppendSecondsObservedOnEveryNode) {
+  StartCluster(3);
+  const int leader = WaitForLeader();
+  ASSERT_GE(leader, 0);
+  HyperplaneOptions sopts;
+  sopts.dim = kDim;
+  sopts.seed = 19;
+  HyperplaneSource source(sopts);
+  StreamClient client(ClusterClient(503, leader));
+  for (int b = 0; b < 4; ++b) {
+    ASSERT_TRUE(client.Submit(5, NextLabeled(source)).ok());
+  }
+  WaitForConvergence(leader);
+  // The leader times its own appends and each follower times the entries
+  // it stores from AppendEntries.
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_GT(registries_[i]
+                  ->GetHistogram("freeway_raft_append_seconds")
+                  ->TotalCount(),
+              0u)
+        << "node " << i;
+  }
+}
+
 TEST_F(ReplicationTest, FollowerRedirectsClientToLeader) {
   StartCluster(3);
   const int leader = WaitForLeader();
